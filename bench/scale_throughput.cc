@@ -69,7 +69,6 @@ struct SweepPoint {
   std::uint64_t state_bytes = 0;
   double build_seconds = 0.0;
   std::uint64_t arena_released = 0;
-  std::uint32_t batch_window = 1;
   std::uint32_t compact_threshold = 0;
 };
 
@@ -132,13 +131,10 @@ int main_impl(int argc, char** argv) {
   opt.scan_kernel = args.get_string("simd", "auto") == "off"
                         ? scale::ScanKernel::kScalar
                         : scale::ScanKernel::kAuto;
-  // --batch=0 auto (engine-tuned window), 1 off (the historical per-sender
-  // path), >= 2 an explicit sender-window width. --compact=-1 auto, 0 off,
-  // > 0 an explicit missing-block threshold. Both are memory schedules, not
-  // policies: every setting produces the identical stream (CI pins the
-  // digests across them), only the seconds move — which is exactly why the
-  // bench exposes them for ablation.
-  opt.batch_window = static_cast<std::uint32_t>(args.get_int("batch", 0));
+  // --compact=-1 auto, 0 off, > 0 an explicit missing-block threshold. A
+  // memory schedule, not a policy: every setting produces the identical
+  // stream (CI pins the digests across them), only the seconds move — which
+  // is exactly why the bench exposes it for ablation.
   const std::int64_t compact = args.get_int("compact", -1);
   opt.compact_missing =
       compact < 0 ? scale::kCompactAuto : static_cast<std::uint32_t>(compact);
@@ -171,7 +167,6 @@ int main_impl(int argc, char** argv) {
         std::chrono::duration<double>(std::chrono::steady_clock::now() - tb).count();
     p.jobs = jobs == 0 ? default_jobs() : jobs;
     p.state_bytes = engine.state_bytes();
-    p.batch_window = engine.batch_window();
     p.compact_threshold = engine.compact_threshold();
     const auto t1 = std::chrono::steady_clock::now();
     p.result = engine.run(jobs);
@@ -267,7 +262,6 @@ int main_impl(int argc, char** argv) {
       .count("total_transfers", head.result.total_transfers)
       .count("node_ticks",
              static_cast<std::uint64_t>(n) * head.result.ticks_executed)
-      .count("batch_window", head.batch_window)
       .count("compact_threshold", head.compact_threshold)
       .count("arena_released_bytes", head.arena_released)
       .num("run_seconds", head.run_seconds)

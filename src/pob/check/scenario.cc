@@ -172,10 +172,6 @@ std::string Scenario::describe() const {
   }
   if (drop_on_churn) os << " drop";
   if (depart_on_complete) os << " depart-on-complete";
-  // Only when forced: the default (sampled) axis keeps historical digests.
-  if (batch_force != BatchForce::kSample) {
-    os << " batch=" << (batch_force == BatchForce::kOn ? "on" : "off");
-  }
   if (stream) {
     os << " stream=" << scale::stream::arrival_pattern_name(arrival_pattern);
     if (playback_window != 0) os << " window=" << playback_window;
@@ -780,21 +776,11 @@ scale::ScaleOptions make_scale_options(const Scenario& sc) {
   // visits.
   opt.scan_kernel = ((sc.seed >> 41) & 1) != 0 ? scale::ScanKernel::kScalar
                                                : scale::ScanKernel::kAuto;
-  // Target-major batching and endgame compaction are memory schedules the
-  // digests must be blind to; sample both axes across off / auto / explicit
-  // so every fuzzed shape also cross-checks them against the historical
-  // per-sender, dense-row path. Explicit values deliberately overshoot
-  // (windows wider than slot budgets, thresholds near k) — the engine
-  // clamps, and the clamped runs must still match.
-  switch ((sc.seed >> 42) % 4) {
-    case 0: opt.batch_window = 1; break;             // off
-    case 1: opt.batch_window = 0; break;             // auto
-    default:
-      opt.batch_window = 2 + static_cast<std::uint32_t>((sc.seed >> 44) % 63);
-      break;
-  }
-  if (sc.batch_force == BatchForce::kOn) opt.batch_window = 0;
-  if (sc.batch_force == BatchForce::kOff) opt.batch_window = 1;
+  // Endgame compaction is a memory schedule the digests must be blind to;
+  // sample it across off / auto / explicit so every fuzzed shape also
+  // cross-checks it against the historical dense-row path. Explicit values
+  // deliberately overshoot (thresholds near k) — the engine clamps, and the
+  // clamped runs must still match.
   switch ((sc.seed >> 50) % 4) {
     case 0: opt.compact_missing = 0; break;          // off
     case 1: opt.compact_missing = scale::kCompactAuto; break;

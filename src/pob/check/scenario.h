@@ -48,13 +48,6 @@ enum class FaultKind : std::uint8_t {
   kSameTickForward,
 };
 
-/// CLI override for the scale engine's target-major batching axis: by
-/// default every scenario samples its own batch_window (off / auto /
-/// explicit) from its seed; forcing pins the whole run to one side so a
-/// smoke job can prove the batched and per-sender paths against each other
-/// under the same budget.
-enum class BatchForce : std::uint8_t { kSample, kOn, kOff };
-
 /// Which engine runs the scenario. kCore is the classic path (scheduler +
 /// core::Engine + reference oracle). kScale runs the mega-swarm engine three
 /// ways — serial, multi-threaded, and mirrored through core::Engine + the
@@ -89,7 +82,6 @@ struct Scenario {
   bool drop_on_churn = false;
   bool depart_on_complete = false;
   FaultKind fault = FaultKind::kNone;
-  BatchForce batch_force = BatchForce::kSample;
 
   // --- Stream axis (pob/scale/stream; kScale + kRandomized only) -------
   // A stream scenario runs the hybrid tick+event driver three ways (serial,

@@ -56,8 +56,8 @@
 // Because the saturated midgame (every probe useful) is latency-bound, the
 // engine also fights the memory system directly: the summary/cache checks
 // are gated behind a cheap expected-diff-size test so dense pairs skip
-// straight to the scan; each sender shard generates in small batches that
-// software-prefetch the first probe target's metadata and row one batch
+// straight to the scan; each sender shard generates in small windows that
+// software-prefetch the first probe target's metadata and row one window
 // ahead; and the big arenas are madvise(MADV_HUGEPAGE)d so random row
 // accesses stop paying 4 KiB TLB walks. None of this consumes RNG draws or
 // changes a comparison outcome, so the intent stream is untouched.
@@ -159,22 +159,6 @@ struct ScaleOptions {
   /// entries are keyed on both endpoints' versions, and the window bound is
   /// a pure function of the receiver's row). Randomized schedulers only.
   std::uint32_t stream_window = 0;
-
-  /// Target-major probe batching in the randomized generate phase: senders
-  /// advance in windows of this many nodes, one probe per round, each
-  /// round's queued probes sorted by target and their lines prefetched a
-  /// round ahead — so the memory system sees a window of independent miss
-  /// chains instead of one dependent chain per sender. 0 = auto: the
-  /// engine batches (width 32) only when the probe working set overflows
-  /// the host's last-level cache — a cache-resident swarm has no misses to
-  /// overlap and measures faster on the plain walk. 1 = off (the
-  /// historical per-sender path, kept for ablation); >= 2 = that exact
-  /// width. Purely a memory schedule: per-
-  /// sender RNG streams, probe verdicts and the canonical sender-ordered
-  /// stream are bit-identical at every setting (the 200k digest pins run
-  /// on, off and auto). Deterministic schedulers opt out via
-  /// ScaleScheduler::batch_window — their intents involve no probing.
-  std::uint32_t batch_window = 0;
 
   /// Endgame row compaction: once an incomplete node is missing at most
   /// this many blocks, its possession row is rewritten as a sorted missing-
@@ -331,11 +315,11 @@ class Engine {
   /// are the only possession changes, so count and version coincide.
   std::uint32_t possession_version(NodeId node) const { return count_[node]; }
 
-  // --- Batching / compaction introspection (tests, benches) ------------
+  // --- Compaction introspection (tests, benches) ----------------------
 
-  /// The resolved sender-window width of the target-major batched generate
-  /// path (1 = batching off: the historical per-sender probe walk).
-  std::uint32_t batch_window() const { return batch_window_; }
+  /// Always 1: the generate phase has one per-sender probe walk. Kept only
+  /// because the perfbench manifest still reports it.
+  std::uint32_t batch_window() const { return 1; }
   /// The resolved endgame-compaction threshold (0 = compaction off): an
   /// incomplete node missing at most this many blocks lives as a compact
   /// missing-list instead of a dense arena row.
@@ -462,41 +446,6 @@ class Engine {
     }
   };
 
-  // Per-shard scratch for the target-major batched generate path: a window
-  // of senders advanced one probe per round, the round's queued probes
-  // sorted by target, and per-sender intent buffers whose ascending-node
-  // concatenation restores the canonical sender-ordered stream.
-  struct BatchScratch {
-    struct Slot {
-      Rng rng{0};
-      const std::uint64_t* su = nullptr;  // resolved sender row
-      NodeId u = 0;
-      std::uint32_t deg = 0;
-      std::uint32_t ver = 0;     // u's frozen possession version
-      std::uint32_t caps = 0;    // upload slots this tick
-      std::uint32_t slot = 0;    // upload slots already filled
-      std::uint32_t probes = 0;  // draws consumed in the current slot
-      bool credit = false;       // §3.2 ledger precheck applies
-    };
-    struct Pending {  // one queued probe: sender window slot i -> target v
-      NodeId v;
-      std::uint32_t i;
-    };
-    std::vector<Slot> slots;
-    std::vector<std::vector<Transfer>> buf;  // per-sender intents
-    std::vector<std::uint64_t> srows;        // window * stride sender rows
-    std::vector<Pending> pending;
-    std::vector<Pending> next;
-
-    std::uint64_t memory_bytes() const {
-      std::uint64_t bytes = slots.capacity() * sizeof(Slot) +
-                            srows.capacity() * sizeof(std::uint64_t) +
-                            (pending.capacity() + next.capacity()) * sizeof(Pending);
-      for (const auto& b : buf) bytes += b.capacity() * sizeof(Transfer);
-      return bytes;
-    }
-  };
-
   std::uint64_t* row(NodeId node) {
     return rows_ + static_cast<std::size_t>(node) * stride_;
   }
@@ -554,10 +503,10 @@ class Engine {
   bool scan_pair(NodeId u, const std::uint64_t* su, NodeId v, DiffScan& scan,
                  bool guided) const;
 
-  /// The viability ladder shared by the per-sender and batched generate
-  /// paths: summary/cache prechecks (exact rejections only), the diff scan,
-  /// and the sequential-window admission test. True iff u -> v is viable
-  /// right now, with `scan` holding the recorded diff for the block pick.
+  /// generate_node's viability ladder: summary/cache prechecks (exact
+  /// rejections only), the diff scan, and the sequential-window admission
+  /// test. True iff u -> v is viable right now, with `scan` holding the
+  /// recorded diff for the block pick.
   bool probe_viable(NodeId u, const std::uint64_t* su, std::uint32_t ver_u,
                     NodeId v, std::uint32_t ver_v, DiffScan& scan,
                     ProbeCache& cache);
@@ -627,30 +576,14 @@ class Engine {
   /// holds blocks, not sated, has slots and neighbors).
   void generate_node(NodeId u, Rng& rng, NodeId first_probe,
                      std::vector<Transfer>& out, DiffScan& scan, ProbeCache& cache);
-  /// Emits intents for senders in [first, last): dispatches to the target-
-  /// major batched path (batch_window_ >= 2) or the historical per-sender
-  /// windows of generate_range_serial. Both emit the identical canonical
-  /// sender-ordered stream.
+  /// Emits intents for senders in [first, last): runs generate_node over
+  /// the range in small double-buffered windows whose lead pass seeds each
+  /// eligible node's RNG, peeks its first probe target and prefetches that
+  /// target's metadata and possession row, so the emit pass finds the lines
+  /// resident instead of stalling per probe.
   void generate_range(std::uint64_t tick_base, NodeId first, NodeId last,
                       std::vector<Transfer>& out, DiffScan& scan,
-                      ProbeCache& cache, BatchScratch& batch);
-  /// The historical path: runs generate_node over [first, last) in small
-  /// double-buffered windows whose lead pass seeds each eligible node's
-  /// RNG, peeks its first probe target and prefetches that target's
-  /// metadata and possession row, so the emit pass finds the lines resident
-  /// instead of stalling per probe.
-  void generate_range_serial(std::uint64_t tick_base, NodeId first, NodeId last,
-                             std::vector<Transfer>& out, DiffScan& scan,
-                             ProbeCache& cache);
-  /// The target-major batched path: a window of batch_window_ senders holds
-  /// one in-flight probe each; every round sorts the queued probes by
-  /// target, evaluates them against lines prefetched when they were queued
-  /// (a full round earlier), and queues + prefetches each surviving
-  /// sender's next probe. Per-sender draw sequences and verdicts are
-  /// exactly generate_node's; per-sender buffers restore canonical order.
-  void generate_range_batched(std::uint64_t tick_base, NodeId first, NodeId last,
-                              std::vector<Transfer>& out, DiffScan& scan,
-                              ProbeCache& cache, BatchScratch& batch);
+                      ProbeCache& cache);
   void plan_phases(Tick tick, std::vector<Transfer>& out, ThreadPool* pool);
   /// The serial commit loop shared by the public apply() and the sparse-tick
   /// fast path of apply_merged().
@@ -699,7 +632,6 @@ class Engine {
   // sharded apply needs no locks. Slots are free-listed per shard; the
   // assignment order is a pure function of the canonical stream, hence
   // identical at any job count (not that slot indices are observable).
-  std::uint32_t batch_window_ = 1;     // resolved; 1 = batching off
   std::uint32_t compact_missing_ = 0;  // resolved threshold; 0 = off
   std::uint32_t compact_floor_ = 0;    // k_ - compact_missing_, or k_ if off
   HugeBuffer<std::uint32_t> compact_slot_;          // slab slot per node, ~0 = none

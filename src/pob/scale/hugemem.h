@@ -4,7 +4,7 @@
 // tens to hundreds of MiB (possession rows, CSR targets, summary bitmaps).
 // With 4 KiB pages every such read risks a TLB miss, and — worse — software
 // prefetches that miss the TLB are dropped on common x86 cores, so the
-// batched-prefetch schedule in the generate phase only pays off when the
+// windowed lead-pass prefetch in the generate phase only pays off when the
 // arena sits on big pages. Two mechanisms, tried in order:
 //
 //   1. Explicit hugetlb pages (mmap MAP_HUGETLB): guaranteed 2 MiB mappings

@@ -13,7 +13,6 @@ RandomizedScheduler::RandomizedScheduler(Engine& engine, std::uint32_t num_shard
   }
   cache_.resize(num_shards);
   for (Engine::ProbeCache& cache : cache_) cache.configure(engine_.opt_.shard_nodes);
-  batch_.resize(num_shards);
 }
 
 void RandomizedScheduler::generate(Tick tick, std::uint32_t shard, NodeId first,
@@ -23,14 +22,13 @@ void RandomizedScheduler::generate(Tick tick, std::uint32_t shard, NodeId first,
   // value every shard, so the streams — and the digests — are unchanged.
   const std::uint64_t tick_base = trial_seed(engine_.seed_, tick);
   engine_.generate_range(tick_base, first, last, out, scratch_[shard],
-                         cache_[shard], batch_[shard]);
+                         cache_[shard]);
 }
 
 std::uint64_t RandomizedScheduler::memory_bytes() const {
   std::uint64_t bytes = 0;
   for (const Engine::DiffScan& scan : scratch_) bytes += scan.memory_bytes();
   for (const Engine::ProbeCache& cache : cache_) bytes += cache.memory_bytes();
-  for (const Engine::BatchScratch& batch : batch_) bytes += batch.memory_bytes();
   return bytes;
 }
 

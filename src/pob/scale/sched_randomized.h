@@ -2,9 +2,9 @@
 // §3.2), extracted behind the ScaleScheduler interface. This class owns the
 // per-shard probe scratch (diff scans, probe-outcome caches) that used to
 // live in the engine; the probing logic itself — eligibility, RNG streams,
-// the rejection ladder, block picks — stays in Engine::generate_range so the
-// emitted intent stream is bit-for-bit the pre-refactor one (the 200k digest
-// pins in tests/scale prove exactly that).
+// the rejection ladder, block picks — stays in Engine::generate_range, the
+// one per-sender probe walk, so the emitted intent stream is bit-for-bit the
+// pre-refactor one (the 200k digest pins in tests/scale prove exactly that).
 
 #pragma once
 
@@ -25,13 +25,6 @@ class RandomizedScheduler final : public ScaleScheduler {
 
   const char* name() const override { return "randomized"; }
 
-  /// The randomized family is exactly what target-major batching exists
-  /// for — per-sender probe ladders against random target rows — so the
-  /// engine-resolved request passes through unchanged.
-  std::uint32_t batch_window(std::uint32_t requested) const override {
-    return requested;
-  }
-
   std::uint64_t memory_bytes() const override;
 
  private:
@@ -40,7 +33,6 @@ class RandomizedScheduler final : public ScaleScheduler {
   // and cache entries never cross threads.
   std::vector<Engine::DiffScan> scratch_;
   std::vector<Engine::ProbeCache> cache_;
-  std::vector<Engine::BatchScratch> batch_;
 };
 
 }  // namespace pob::scale

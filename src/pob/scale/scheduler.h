@@ -80,20 +80,6 @@ class ScaleScheduler {
 
   virtual const char* name() const = 0;
 
-  /// The sender-window width the engine's target-major probe batching runs
-  /// at for this scheduler, given the engine-resolved request
-  /// (ScaleOptions::batch_window after auto resolution). Only schedulers
-  /// whose generate() walks per-sender probe ladders against random target
-  /// rows (the randomized family) benefit — they return the request; fixed-
-  /// schedule generators opt out by returning 1, since their intents are
-  /// pure index arithmetic with no per-probe memory dependence to overlap.
-  /// Must be a pure function of the request, never of tick state: the
-  /// window is resolved once at construction, and any width must emit the
-  /// identical stream anyway (batching is a memory schedule, not a policy).
-  virtual std::uint32_t batch_window(std::uint32_t /*requested*/) const {
-    return 1;
-  }
-
   /// Scratch + schedule memory owned by the scheduler, for state_bytes().
   virtual std::uint64_t memory_bytes() const { return 0; }
 };

@@ -108,12 +108,11 @@ TEST(ScaleParallel, PureRandomizedTwoHundredThousandNodesPinned) {
   EXPECT_EQ(digest_at(4), serial);
 }
 
-TEST(ScaleParallel, BatchingAndCompactionAxesPreserveThePinnedDigest) {
-  // Target-major batching and endgame compaction are memory schedules, not
-  // policies: any (batch_window, compact_missing, scan kernel, jobs) point
-  // must reproduce the pre-feature pinned stream bit for bit. The matrix
-  // crosses off/auto/explicit on both axes — including a window wider than
-  // any sender's slot budget and a compact threshold of the full k - 1 band.
+TEST(ScaleParallel, CompactionAxesPreserveThePinnedDigest) {
+  // Endgame compaction is a memory schedule, not a policy: any
+  // (compact_missing, scan kernel, jobs) point must reproduce the
+  // pre-feature pinned stream bit for bit. The matrix crosses off/auto/
+  // explicit thresholds — including the full k - 1 band.
   constexpr std::uint32_t kNodes = 200000;
   EngineConfig cfg;
   cfg.num_nodes = kNodes;
@@ -122,24 +121,22 @@ TEST(ScaleParallel, BatchingAndCompactionAxesPreserveThePinnedDigest) {
   cfg.max_ticks = 48;
 
   struct Axis {
-    std::uint32_t batch;
     std::uint32_t compact;
     ScanKernel kernel;
     unsigned jobs;
   };
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   const Axis axes[] = {
-      {1, 0, ScanKernel::kAuto, 1},        // both off: the historical path
-      {4, 2, ScanKernel::kAuto, 1},        // explicit narrow window + band
-      {0, kCompactAuto, ScanKernel::kScalar, 1},  // defaults, reference scan
-      {32, 63, ScanKernel::kAuto, 4},      // widest legal band, sharded
-      {2, 1, ScanKernel::kScalar, hw},     // minimal band, every core
+      {0, ScanKernel::kAuto, 1},              // off: the historical path
+      {2, ScanKernel::kAuto, 1},              // explicit narrow band
+      {kCompactAuto, ScanKernel::kScalar, 1}, // defaults, reference scan
+      {63, ScanKernel::kAuto, 4},             // widest legal band, sharded
+      {1, ScanKernel::kScalar, hw},           // minimal band, every core
   };
   for (const Axis& axis : axes) {
-    SCOPED_TRACE(testing::Message() << "batch=" << axis.batch << " compact="
-                                    << axis.compact << " jobs=" << axis.jobs);
+    SCOPED_TRACE(testing::Message() << "compact=" << axis.compact
+                                    << " jobs=" << axis.jobs);
     ScaleOptions opt;
-    opt.batch_window = axis.batch;
     opt.compact_missing = axis.compact;
     opt.scan_kernel = axis.kernel;
     Rng rng(11);
@@ -151,8 +148,8 @@ TEST(ScaleParallel, BatchingAndCompactionAxesPreserveThePinnedDigest) {
   }
 }
 
-TEST(ScaleParallel, BatchingAndCompactionSurviveChurnCreditAndHeteroCaps) {
-  // The same axes against the hardest pinned swarm: config churn,
+TEST(ScaleParallel, CompactionSurvivesChurnCreditAndHeteroCaps) {
+  // The same axis against the hardest pinned swarm: config churn,
   // depart-on-complete, the credit ledger under rarest-first, heterogeneous
   // download caps. Departing or completing nodes sit exactly where the
   // compact band and the retired arena rows live.
@@ -167,12 +164,10 @@ TEST(ScaleParallel, BatchingAndCompactionSurviveChurnCreditAndHeteroCaps) {
   cfg.download_capacities.assign(kNodes, 2);
   for (NodeId c = 1; c < kNodes; c += 7) cfg.download_capacities[c] = 3;
 
-  const auto digest_with = [&](std::uint32_t batch, std::uint32_t compact,
-                               unsigned jobs) {
+  const auto digest_with = [&](std::uint32_t compact, unsigned jobs) {
     ScaleOptions opt;
     opt.policy = BlockPolicy::kRarestFirst;
     opt.credit_limit = 3;
-    opt.batch_window = batch;
     opt.compact_missing = compact;
     Rng rng(29);
     auto topo = std::make_shared<Topology>(
@@ -181,8 +176,8 @@ TEST(ScaleParallel, BatchingAndCompactionSurviveChurnCreditAndHeteroCaps) {
     return check::run_result_digest(engine.run(jobs));
   };
 
-  EXPECT_EQ(digest_with(1, 0, 1), kCreditRarest200kDigest);
-  EXPECT_EQ(digest_with(8, 16, 4), kCreditRarest200kDigest);
+  EXPECT_EQ(digest_with(0, 1), kCreditRarest200kDigest);
+  EXPECT_EQ(digest_with(16, 4), kCreditRarest200kDigest);
 }
 
 TEST(ScaleParallel, DeterministicSchedulersQuarterMillionNodesPinned) {

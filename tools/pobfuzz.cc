@@ -14,12 +14,6 @@
 //       Inject the off-by-one forwarding fault into every scenario's
 //       scheduler — a self-test that the oracle actually catches bugs.
 //
-//   pobfuzz ... --batch=on|off
-//       Force the scale engine's target-major batching axis instead of
-//       letting each scenario sample it: `off` pins every scenario to the
-//       historical per-sender probe walk, `on` to the batched window. Two
-//       smoke runs, one per side, prove the paths against each other.
-//
 //   pobfuzz ... --engine=core|scale|stream|mixed
 //       Restrict which engine the scenarios run on. `scale` forces every
 //       scenario through the mega-swarm engine (serial vs threaded vs
@@ -108,20 +102,8 @@ int main(int argc, char** argv) {
       return 2;
     }
 
-    BatchForce batch = BatchForce::kSample;
-    const std::string batch_flag = args.get_string("batch", "");
-    if (batch_flag == "on") {
-      batch = BatchForce::kOn;
-    } else if (batch_flag == "off") {
-      batch = BatchForce::kOff;
-    } else if (!batch_flag.empty()) {
-      std::cerr << "pobfuzz: unknown --batch=" << batch_flag
-                << " (known: on, off)\n";
-      return 2;
-    }
-
     const auto t0 = std::chrono::steady_clock::now();
-    const FuzzReport report = fuzz_many(seed, budget, jobs, fault, engines, batch);
+    const FuzzReport report = fuzz_many(seed, budget, jobs, fault, engines);
     const auto elapsed = std::chrono::duration<double>(
         std::chrono::steady_clock::now() - t0);
 
