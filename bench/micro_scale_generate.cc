@@ -61,9 +61,7 @@ int main_impl(int argc, char** argv) {
   const auto topo = std::make_shared<scale::Topology>(
       scale::Topology::from_graph(make_random_regular(n, degree, topo_rng)));
 
-  // The ablation grid: every scan kernel this build resolves. Compaction
-  // stays at its default; at the frozen mid-run tick the compact band is
-  // empty or nearly so, and this bench is about probing.
+  // The ablation grid: every scan kernel this build resolves.
   std::vector<ConfigPoint> points;
   std::vector<Transfer> stream;
   std::vector<Transfer> reference;

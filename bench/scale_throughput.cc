@@ -68,8 +68,6 @@ struct SweepPoint {
   scale::PhaseTimings phases;
   std::uint64_t state_bytes = 0;
   double build_seconds = 0.0;
-  std::uint64_t arena_released = 0;
-  std::uint32_t compact_threshold = 0;
 };
 
 int main_impl(int argc, char** argv) {
@@ -131,13 +129,6 @@ int main_impl(int argc, char** argv) {
   opt.scan_kernel = args.get_string("simd", "auto") == "off"
                         ? scale::ScanKernel::kScalar
                         : scale::ScanKernel::kAuto;
-  // --compact=-1 auto, 0 off, > 0 an explicit missing-block threshold. A
-  // memory schedule, not a policy: every setting produces the identical
-  // stream (CI pins the digests across them), only the seconds move — which
-  // is exactly why the bench exposes it for ablation.
-  const std::int64_t compact = args.get_int("compact", -1);
-  opt.compact_missing =
-      compact < 0 ? scale::kCompactAuto : static_cast<std::uint32_t>(compact);
 
   // Deterministic schedules are derived for the complete overlay (the
   // binomial pipeline only ever uses the hypercube edges inside it); the
@@ -167,13 +158,11 @@ int main_impl(int argc, char** argv) {
         std::chrono::duration<double>(std::chrono::steady_clock::now() - tb).count();
     p.jobs = jobs == 0 ? default_jobs() : jobs;
     p.state_bytes = engine.state_bytes();
-    p.compact_threshold = engine.compact_threshold();
     const auto t1 = std::chrono::steady_clock::now();
     p.result = engine.run(jobs);
     p.run_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t1).count();
     p.phases = engine.phase_timings();
-    p.arena_released = engine.arena_released_bytes();
     const std::uint64_t node_ticks =
         static_cast<std::uint64_t>(n) * p.result.ticks_executed;
     if (p.run_seconds > 0.0) {
@@ -262,8 +251,6 @@ int main_impl(int argc, char** argv) {
       .count("total_transfers", head.result.total_transfers)
       .count("node_ticks",
              static_cast<std::uint64_t>(n) * head.result.ticks_executed)
-      .count("compact_threshold", head.compact_threshold)
-      .count("arena_released_bytes", head.arena_released)
       .num("run_seconds", head.run_seconds)
       .num("topology_seconds", topo_seconds)
       .num("engine_build_seconds", head.build_seconds)

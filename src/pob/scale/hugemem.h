@@ -45,17 +45,6 @@ void* huge_alloc(std::size_t bytes);
 /// original request (the mapping length is derived from it).
 void huge_free(void* ptr, std::size_t bytes) noexcept;
 
-/// Best-effort return of the pages fully inside [data, data + bytes) to the
-/// OS (madvise MADV_DONTNEED), rounding inward to 2 MiB boundaries so the
-/// call stays valid for hugetlb-backed mappings — which reject smaller
-/// granularity — and ordinary ones alike. The caller promises the range is
-/// dead: anonymous private memory reads back as zeros after release, not as
-/// its old contents. Returns the bytes actually released: 0 when the range
-/// holds no aligned 2 MiB block, off Linux, or when the kernel refuses
-/// (e.g. hugetlb DONTNEED support predates some enterprise kernels) —
-/// always safe to ignore, the memory just stays resident.
-std::size_t huge_release(void* data, std::size_t bytes) noexcept;
-
 /// A fixed-size, zero-initialized, move-only array on huge_alloc memory.
 /// Deliberately minimal: the engine sizes these once per construction and
 /// never resizes, so there is no growth logic to get wrong. Only trivial

@@ -9,7 +9,6 @@ RandomizedScheduler::RandomizedScheduler(Engine& engine, std::uint32_t num_shard
     scan.widx.resize(engine_.stride_);
     scan.words.resize(engine_.stride_);
     scan.pc.resize(engine_.stride_);
-    scan.srow.resize(engine_.stride_);
   }
   cache_.resize(num_shards);
   for (Engine::ProbeCache& cache : cache_) cache.configure(engine_.opt_.shard_nodes);

@@ -165,19 +165,15 @@ TEST(ScaleEngine, SummaryBitmapsTailMaskedAtWordBoundaries) {
   }
 }
 
-TEST(ScaleEngine, CompactionThresholdCrossingKeepsQueriesExact) {
-  // Hand-deliver a node across the compact boundary and interrogate every
-  // query the compact representation re-implements: has(), first_missing(),
-  // top_block(), the summaries, and the crossing itself. The withheld set
-  // straddles the word boundary and the tail (k = 65) on purpose.
+TEST(ScaleEngine, DenseRowQueriesExactAcrossWordAndTailBoundaries) {
+  // Hand-deliver a node block by block and interrogate every possession
+  // query: has(), first_missing(), top_block(), the summaries, and
+  // completion. The withheld set straddles the word boundary and the tail
+  // (k = 65) on purpose.
   EngineConfig cfg;
   cfg.num_nodes = 4;
   cfg.num_blocks = 65;
-  ScaleOptions opt;
-  opt.compact_missing = 4;
-  Engine engine(cfg, complete_topo(4), opt, 1);
-  ASSERT_EQ(engine.compact_threshold(), 4u);
-  EXPECT_FALSE(engine.is_compact(kServer));  // complete is beyond the band
+  Engine engine(cfg, complete_topo(4), ScaleOptions{}, 1);
 
   const std::vector<BlockId> withheld = {0, 37, 63, 64};
   Tick t = 1;
@@ -187,11 +183,9 @@ TEST(ScaleEngine, CompactionThresholdCrossingKeepsQueriesExact) {
   };
   for (BlockId b = 0; b < 65; ++b) {
     if (std::find(withheld.begin(), withheld.end(), b) != withheld.end()) continue;
-    EXPECT_FALSE(engine.is_compact(1));  // 61 deliveries: the last one lands
-    deliver(b);                          // exactly on the floor k - 4 = 61
+    deliver(b);
   }
   ASSERT_EQ(engine.blocks_held(1), 61u);
-  ASSERT_TRUE(engine.is_compact(1));
   for (BlockId b = 0; b < 65; ++b) {
     EXPECT_EQ(engine.has(1, b),
               std::find(withheld.begin(), withheld.end(), b) == withheld.end());
@@ -211,10 +205,8 @@ TEST(ScaleEngine, CompactionThresholdCrossingKeepsQueriesExact) {
   EXPECT_EQ(engine.summary_missing_word(1, 0), 0b01u);
   EXPECT_EQ(engine.summary_has_word(1, 0), 0b11u);
   deliver(37);  // missing {63}
-  EXPECT_TRUE(engine.is_compact(1));
   EXPECT_EQ(engine.first_missing(1), 63u);
-  deliver(63);  // complete: the compact slot retires with the node
-  EXPECT_FALSE(engine.is_compact(1));
+  deliver(63);  // complete
   EXPECT_TRUE(engine.is_complete(1));
   EXPECT_EQ(engine.first_missing(1), 65u);
   EXPECT_EQ(engine.top_block(1), 64u);
@@ -223,33 +215,23 @@ TEST(ScaleEngine, CompactionThresholdCrossingKeepsQueriesExact) {
   EXPECT_EQ(engine.node_completion(1), t - 1);
 }
 
-TEST(ScaleEngine, CompactionChurnOnCompactAndCompleteNodesMatchesDense) {
-  // Two lockstep engines over the same swarm — endgame compaction on vs
-  // off — must plan the identical stream every tick while nodes are
-  // deactivated and re-admitted exactly when they are compact or complete.
-  // Rarest-first makes the parity sharp: deactivate/activate adjust the
-  // global block frequencies through the compact list (or, for a complete
-  // node, no row at all — it may be retired), and any miscount diverges the
-  // picks for the rest of the run.
+TEST(ScaleEngine, ChurnOnNearCompleteAndCompleteNodesMatchesUnchurnedTwin) {
+  // Two lockstep engines over the same swarm. Between ticks, `a` takes a
+  // near-complete node and a complete node out and straight back in; `b`
+  // never churns. The round trip must leave no trace, so both must plan
+  // the identical stream every tick. Rarest-first makes the parity sharp:
+  // deactivate/activate adjust the global block frequencies from the
+  // node's row, and any miscount diverges the picks for the rest of the run.
   EngineConfig cfg;
   cfg.num_nodes = 600;
   cfg.num_blocks = 64;
-
-  ScaleOptions compacting;
-  compacting.policy = BlockPolicy::kRarestFirst;
-  compacting.compact_missing = 8;
-  ScaleOptions dense = compacting;
-  dense.compact_missing = 0;
-
-  Engine a(cfg, regular_topo(600, 8, 9), compacting, 9);
-  Engine b(cfg, regular_topo(600, 8, 9), dense, 9);
-  ASSERT_EQ(a.compact_threshold(), 8u);
-  ASSERT_EQ(b.compact_threshold(), 0u);
+  ScaleOptions opt;
+  opt.policy = BlockPolicy::kRarestFirst;
+  Engine a(cfg, regular_topo(600, 8, 9), opt, 9);
+  Engine b(cfg, regular_topo(600, 8, 9), opt, 9);
 
   std::vector<Transfer> sa, sb;
-  NodeId churned_compact = 0, churned_complete = 0;  // 0 = not yet
-  Tick back_compact = 0, back_complete = 0;
-  bool saw_compact_while_inactive = false;
+  std::uint32_t near_round_trips = 0, complete_round_trips = 0;
   for (Tick t = 1; t <= 400 && !a.all_complete(); ++t) {
     sa.clear();
     sb.clear();
@@ -264,97 +246,95 @@ TEST(ScaleEngine, CompactionChurnOnCompactAndCompleteNodesMatchesDense) {
     a.apply(t, sa);
     b.apply(t, sb);
 
-    if (churned_compact == 0) {
-      for (NodeId v = 1; v < 600; ++v) {
-        if (a.is_compact(v)) {
-          churned_compact = v;
-          a.deactivate(v);
-          b.deactivate(v);
-          back_compact = t + 3;
-          break;
-        }
-      }
-    } else if (t == back_compact) {
-      // The node sat out three ticks mid-band; it must still read as
-      // compact, and re-admission must restore its replica counts from the
-      // missing-list, not the retired row.
-      saw_compact_while_inactive = a.is_compact(churned_compact);
-      a.activate(churned_compact);
-      b.activate(churned_compact);
+    NodeId near = 0, complete = 0;  // 0 = none this tick
+    for (NodeId v = 1; v < 600 && (near == 0 || complete == 0); ++v) {
+      const std::uint32_t held = a.blocks_held(v);
+      if (near == 0 && held < 64 && held >= 56) near = v;
+      if (complete == 0 && a.is_complete(v)) complete = v;
     }
-    if (churned_complete == 0) {
-      for (NodeId v = 1; v < 600; ++v) {
-        if (a.is_complete(v)) {
-          churned_complete = v;
-          a.deactivate(v);
-          b.deactivate(v);
-          back_complete = t + 3;
-          break;
-        }
-      }
-    } else if (t == back_complete) {
-      a.activate(churned_complete);
-      b.activate(churned_complete);
+    for (const NodeId v : {near, complete}) {
+      if (v != 0) a.deactivate(v);
     }
+    for (const NodeId v : {near, complete}) {
+      if (v != 0) a.activate(v);
+    }
+    near_round_trips += near != 0 ? 1 : 0;
+    complete_round_trips += complete != 0 ? 1 : 0;
   }
   EXPECT_TRUE(a.all_complete());
   EXPECT_TRUE(b.all_complete());
-  EXPECT_NE(churned_compact, 0u);
-  EXPECT_NE(churned_complete, 0u);
-  EXPECT_TRUE(saw_compact_while_inactive);
+  EXPECT_EQ(a.num_departed(), 0u);
+  EXPECT_EQ(a.active_upload_slots(), b.active_upload_slots());
+  EXPECT_GT(near_round_trips, 0u);
+  EXPECT_GT(complete_round_trips, 0u);
 }
 
-TEST(ScaleEngine, CompactionAtBlockCountEdges) {
-  // k = 1 cannot compact (the band would be the whole file); 63/64/65 put
-  // the compact list's word grouping against the tail mask and the word
-  // boundary. Oversized explicit thresholds clamp to k - 1. record_trace
-  // makes the digest cover every transfer of every tick.
+TEST(ScaleEngine, BlockCountEdges) {
+  // k = 1 and 63/64/65 put the possession rows and summaries against the
+  // tail mask and the word boundary. record_trace makes the digest cover
+  // every transfer of every tick; jobs and the scan kernel must not move it.
   for (const std::uint32_t k : {1u, 63u, 64u, 65u}) {
     SCOPED_TRACE(k);
     EngineConfig cfg;
     cfg.num_nodes = 40;
     cfg.num_blocks = k;
     cfg.record_trace = true;
-    std::uint32_t resolved = 0;
-    const auto digest_with = [&](std::uint32_t compact) {
+    const auto digest_with = [&](ScanKernel kernel, unsigned jobs) {
       ScaleOptions opt;
-      opt.compact_missing = compact;
+      opt.scan_kernel = kernel;
       Engine engine(cfg, complete_topo(40), opt, 300 + k);
-      const std::uint64_t d = run_result_digest(engine.run(1));
-      resolved = engine.compact_threshold();
-      return d;
+      const RunResult r = engine.run(jobs);
+      EXPECT_TRUE(r.completed);
+      return run_result_digest(r);
     };
-    const std::uint64_t base = digest_with(0);
-    EXPECT_EQ(resolved, 0u);
-    EXPECT_EQ(digest_with(kCompactAuto), base);
-    EXPECT_EQ(resolved, k >= 2 ? std::clamp(k / 32u, 2u, 16u) : 0u);
-    EXPECT_EQ(digest_with(1000), base);
-    EXPECT_EQ(resolved, k >= 2 ? k - 1 : 0u);
+    const std::uint64_t base = digest_with(ScanKernel::kAuto, 1);
+    EXPECT_EQ(digest_with(ScanKernel::kAuto, 4), base);
+    EXPECT_EQ(digest_with(ScanKernel::kScalar, 1), base);
   }
 }
 
-TEST(ScaleEngine, StateBytesCoversCompactionStateAndReleaseIsChunkAligned) {
-  // The compaction structures (per-node slot index, slabs, retire queues)
-  // must be inside the reported figure from construction on, the figure
-  // must not shrink over a run (released arena chunks are reported
-  // separately, not subtracted), and the released count can only ever be
-  // whole 2 MiB chunks of the arena.
+TEST(ScaleEngine, StateBytesCoversArenaAndSummariesAndNeverShrinks) {
+  // The possession arena and both summaries must be inside the reported
+  // figure from construction on, and the figure must not shrink over a run
+  // (scratch persists at high-water capacity).
   EngineConfig cfg;
   cfg.num_nodes = 3000;
   cfg.num_blocks = 64;
-  ScaleOptions opt;
-  opt.compact_missing = 8;
-  Engine engine(cfg, complete_topo(3000), opt, 21);
+  Engine engine(cfg, complete_topo(3000), ScaleOptions{}, 21);
   const std::uint64_t fresh = engine.state_bytes();
-  // Floor: the arena (stride 1), both summaries (sum_stride 1), and the
-  // compaction slot array (one uint32 per node).
-  EXPECT_GE(fresh, 3000u * 8 + 2u * 3000 * 8 + 3000u * 4);
+  // Floor: the arena (stride 1) and both summaries (sum_stride 1).
+  EXPECT_GE(fresh, 3000u * 8 + 2u * 3000 * 8);
 
   const RunResult r = engine.run(1);
   ASSERT_TRUE(r.completed);
   EXPECT_GE(engine.state_bytes(), fresh);
-  EXPECT_LE(engine.arena_released_bytes(), 3000u * 8);
-  EXPECT_EQ(engine.arena_released_bytes() % (std::size_t{2} << 20), 0u);
+}
+
+TEST(ScaleEngine, RejectsConfigsWhoseTickCouldOverflowTheIntentIndex) {
+  // 2^17 nodes on the complete overlay with 2^16 upload slots each: a tick
+  // could carry 2^33 intents, past the 32-bit intent index of the merge.
+  constexpr std::uint32_t kNodes = 1u << 17;
+  EngineConfig cfg;
+  cfg.num_nodes = kNodes;
+  cfg.num_blocks = 1;
+  cfg.upload_capacity = 1u << 16;
+  cfg.download_capacity = 1u << 16;
+  EXPECT_THROW(Engine(cfg, complete_topo(kNodes), ScaleOptions{}, 1),
+               EngineViolation);
+
+  // Raising caps mid-run keeps the same bound.
+  cfg.upload_capacity = 1;
+  Engine engine(cfg, complete_topo(kNodes), ScaleOptions{}, 1);
+  for (NodeId u = 0; u + 1 < 1u << 15; ++u) {
+    engine.set_capacity(u, 1u << 16, kUnlimited);
+  }
+  EXPECT_THROW(
+      {
+        for (NodeId u = 1u << 15; u < kNodes; ++u) {
+          engine.set_capacity(u, 1u << 16, kUnlimited);
+        }
+      },
+      EngineViolation);
 }
 
 TEST(ScaleEngine, ProbeCacheSurvivesChurnAndPossessionChanges) {
