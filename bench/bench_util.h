@@ -4,6 +4,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <fstream>
 #include <iostream>
@@ -22,6 +23,10 @@
 #include "pob/overlay/builders.h"
 #include "pob/overlay/overlay.h"
 #include "pob/rand/randomized.h"
+
+#if __has_include(<sys/resource.h>)
+#include <sys/resource.h>
+#endif
 
 namespace pob::bench {
 
@@ -165,10 +170,39 @@ inline JsonReport& add_host_fields(JsonReport& json) {
       .num("cpu_quota_cores", cpu_quota_cores());
 }
 
+/// This process's peak resident set in KiB, 0 where getrusage is missing.
+inline std::uint64_t peak_rss_kb() {
+#if __has_include(<sys/resource.h>)
+  rusage usage{};
+  if (getrusage(RUSAGE_SELF, &usage) == 0) {
+    // ru_maxrss is KiB on Linux (bytes on macOS; close enough for a trend
+    // line, and this repo's CI is Linux).
+    return static_cast<std::uint64_t>(usage.ru_maxrss);
+  }
+#endif
+  return 0;
+}
+
+/// The effective job counts of --sweep=1,2,4,8, or just --jobs without it.
+/// jobs_from_flag clamps oversized requests to 4x the core count, so on
+/// small hosts several requested values can collapse to the same effective
+/// job count — dedupe to keep one run (and one JSON field group) per value.
+inline std::vector<unsigned> sweep_jobs(const Args& args) {
+  std::vector<unsigned> sweep;
+  for (const std::int64_t j : args.get_int_list("sweep", {})) {
+    const unsigned jobs = jobs_from_flag(j);
+    if (std::find(sweep.begin(), sweep.end(), jobs) == sweep.end()) {
+      sweep.push_back(jobs);
+    }
+  }
+  if (sweep.empty()) sweep.push_back(jobs_from_flag(args.get_int("jobs", 0)));
+  return sweep;
+}
+
 /// The index of the sweep point speedups are measured against: the
 /// jobs == 1 entry wherever it sits in the list, falling back to the first
-/// entry when no serial point ran. jobs_from_flag clamps oversized requests
-/// and callers dedupe collapsed values, so a requested "1" can be absent
+/// entry when no serial point ran. sweep_jobs clamps oversized requests
+/// and dedupes collapsed values, so a requested "1" can be absent
 /// (or present but not first) in the effective list; speedups must
 /// normalize against the real serial run when there is one.
 inline std::size_t sweep_baseline_index(const std::vector<unsigned>& jobs) {

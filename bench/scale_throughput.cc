@@ -28,7 +28,6 @@
 //
 // The run itself is deterministic for a given (seed, config) at any --jobs.
 
-#include <algorithm>
 #include <chrono>
 #include <iostream>
 #include <stdexcept>
@@ -39,25 +38,8 @@
 #include "pob/flow/certify.h"
 #include "pob/scale/engine.h"
 
-#if __has_include(<sys/resource.h>)
-#include <sys/resource.h>
-#define POB_HAVE_RUSAGE 1
-#endif
-
 namespace pob {
 namespace {
-
-std::uint64_t peak_rss_kb() {
-#ifdef POB_HAVE_RUSAGE
-  rusage usage{};
-  if (getrusage(RUSAGE_SELF, &usage) == 0) {
-    // ru_maxrss is KiB on Linux (bytes on macOS; close enough for a trend
-    // line, and this repo's CI is Linux).
-    return static_cast<std::uint64_t>(usage.ru_maxrss);
-  }
-#endif
-  return 0;
-}
 
 struct SweepPoint {
   unsigned jobs = 1;
@@ -78,18 +60,8 @@ int main_impl(int argc, char** argv) {
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
 
   // --sweep=1,2,4,8 runs the same swarm once per job count; without it the
-  // single --jobs run keeps the historical E22 behavior. jobs_from_flag
-  // clamps oversized requests to 4x the core count, so on small hosts
-  // several requested values can collapse to the same effective job count —
-  // dedupe to keep one run (and one JSON field group) per effective value.
-  std::vector<unsigned> sweep;
-  for (const std::int64_t j : args.get_int_list("sweep", {})) {
-    const unsigned jobs = jobs_from_flag(j);
-    if (std::find(sweep.begin(), sweep.end(), jobs) == sweep.end()) {
-      sweep.push_back(jobs);
-    }
-  }
-  if (sweep.empty()) sweep.push_back(jobs_from_flag(args.get_int("jobs", 0)));
+  // single --jobs run keeps the historical E22 behavior.
+  const std::vector<unsigned> sweep = bench::sweep_jobs(args);
 
   const std::string sched_name = args.get_string("scheduler", "randomized");
   scale::SchedKind sched = scale::SchedKind::kRandomized;
@@ -115,20 +87,13 @@ int main_impl(int argc, char** argv) {
 
   scale::ScaleOptions opt;
   opt.scheduler = sched;
-  opt.policy = args.get_string("policy", "random") == "random"
-                   ? BlockPolicy::kRandom
-                   : BlockPolicy::kRarestFirst;
+  opt.policy = parse_policy(args);
   opt.credit_limit = static_cast<std::uint32_t>(args.get_int("credit", 0));
   if (sched == scale::SchedKind::kTriangularBarter && opt.credit_limit == 0) {
     opt.credit_limit = 1;  // the §3.3 ledger; the schedule never consults it
   }
   opt.max_probes = static_cast<std::uint32_t>(args.get_int("probes", 16));
   opt.collect_phase_timings = true;
-  // --simd=off forces the scalar reference scan kernel; CI runs the digest
-  // pin both ways to prove the vectorized paths change nothing but seconds.
-  opt.scan_kernel = args.get_string("simd", "auto") == "off"
-                        ? scale::ScanKernel::kScalar
-                        : scale::ScanKernel::kAuto;
 
   // Deterministic schedules are derived for the complete overlay (the
   // binomial pipeline only ever uses the hypercube edges inside it); the
@@ -172,7 +137,7 @@ int main_impl(int argc, char** argv) {
     }
     points.push_back(std::move(p));
   }
-  const std::uint64_t rss_kb = peak_rss_kb();
+  const std::uint64_t rss_kb = bench::peak_rss_kb();
   const SweepPoint& head = points.front();
   // Speedups normalize against the real serial run when the sweep has one;
   // a clamped/deduped list without jobs=1 falls back to its first point
@@ -244,7 +209,6 @@ int main_impl(int argc, char** argv) {
       .certified(cert.lower_bound, certified)
       .count("credit_limit", opt.credit_limit)
       .str("policy", opt.policy == BlockPolicy::kRandom ? "random" : "rarest")
-      .str("scan_kernel", scale::scan_kernel_name(opt.scan_kernel))
       .flag("completed", head.result.completed)
       .count("ticks_executed", head.result.ticks_executed)
       .count("completion_tick", head.result.completion_tick)

@@ -29,23 +29,8 @@
 #include "pob/check/oracle.h"
 #include "pob/scale/stream/stream_engine.h"
 
-#if __has_include(<sys/resource.h>)
-#include <sys/resource.h>
-#define POB_HAVE_RUSAGE 1
-#endif
-
 namespace pob {
 namespace {
-
-std::uint64_t peak_rss_kb() {
-#ifdef POB_HAVE_RUSAGE
-  rusage usage{};
-  if (getrusage(RUSAGE_SELF, &usage) == 0) {
-    return static_cast<std::uint64_t>(usage.ru_maxrss);
-  }
-#endif
-  return 0;
-}
 
 struct LatencyStats {
   std::uint64_t started = 0;
@@ -87,14 +72,7 @@ int main_impl(int argc, char** argv) {
   const auto degree = static_cast<std::uint32_t>(args.get_int("degree", 16));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
 
-  std::vector<unsigned> sweep;
-  for (const std::int64_t j : args.get_int_list("sweep", {})) {
-    const unsigned jobs = jobs_from_flag(j);
-    if (std::find(sweep.begin(), sweep.end(), jobs) == sweep.end()) {
-      sweep.push_back(jobs);
-    }
-  }
-  if (sweep.empty()) sweep.push_back(jobs_from_flag(args.get_int("jobs", 0)));
+  const std::vector<unsigned> sweep = bench::sweep_jobs(args);
 
   scale::stream::StreamSpec spec;
   spec.seed = seed;
@@ -148,13 +126,8 @@ int main_impl(int argc, char** argv) {
   spec.demand.deadlines = args.has("deadlines");
   spec.demand.deadline_slack = static_cast<Tick>(args.get_int("slack", 2));
 
-  spec.options.policy = args.get_string("policy", "random") == "random"
-                            ? BlockPolicy::kRandom
-                            : BlockPolicy::kRarestFirst;
+  spec.options.policy = parse_policy(args);
   spec.options.max_probes = static_cast<std::uint32_t>(args.get_int("probes", 16));
-  spec.options.scan_kernel = args.get_string("simd", "auto") == "off"
-                                 ? scale::ScanKernel::kScalar
-                                 : scale::ScanKernel::kAuto;
 
   const auto t0 = std::chrono::steady_clock::now();
   Rng topo_rng = Rng(seed).split(0);
@@ -181,7 +154,7 @@ int main_impl(int argc, char** argv) {
     }
     points.push_back(std::move(p));
   }
-  const std::uint64_t rss_kb = peak_rss_kb();
+  const std::uint64_t rss_kb = bench::peak_rss_kb();
   const SweepPoint& head = points.front();
   const SweepPoint& baseline = points[bench::sweep_baseline_index(sweep)];
 
@@ -236,7 +209,6 @@ int main_impl(int argc, char** argv) {
       .flag("deadlines", spec.demand.deadlines)
       .str("policy", spec.options.policy == BlockPolicy::kRandom ? "random"
                                                                  : "rarest")
-      .str("scan_kernel", scale::scan_kernel_name(spec.options.scan_kernel))
       .flag("completed", head.result.completed)
       .count("ticks_executed", head.result.ticks_executed)
       .count("completion_tick", head.result.completion_tick)

@@ -769,13 +769,6 @@ scale::ScaleOptions make_scale_options(const Scenario& sc) {
   // Half the scenarios run with phase timing collection on: the clock reads
   // must never perturb the stream (jobs=1 vs jobs=4 digests still compare).
   opt.collect_phase_timings = ((sc.seed >> 40) & 1) != 0;
-  // Half start from the scalar reference scan kernel; run_scale_scenario
-  // additionally re-runs every scenario under the flipped kernel and
-  // requires the identical stream, so the fuzzer sweeps the SIMD/summary/
-  // cache fast paths against the plain one-word loop on every shape it
-  // visits.
-  opt.scan_kernel = ((sc.seed >> 41) & 1) != 0 ? scale::ScanKernel::kScalar
-                                               : scale::ScanKernel::kAuto;
   return opt;
 }
 
@@ -876,20 +869,6 @@ ScenarioOutcome run_scale_scenario(const Scenario& sc) {
     return {false, "scale engine diverges between jobs=1 and jobs=4: " + d};
   }
 
-  // The scan-kernel axis: the vectorized/summary-guided scan and the scalar
-  // reference loop must emit the identical stream on every sampled shape.
-  scale::ScaleOptions flipped = opt;
-  flipped.scan_kernel = opt.scan_kernel == scale::ScanKernel::kScalar
-                            ? scale::ScanKernel::kAuto
-                            : scale::ScanKernel::kScalar;
-  scale::Engine other_kernel(config, topo, flipped, sc.seed);
-  const RunResult r_other = other_kernel.run(1);
-  if (const std::string d = diff_run_results(r_serial, r_other); !d.empty()) {
-    return {false, std::string("scale engine diverges between scan kernels (") +
-                       scale::scan_kernel_name(opt.scan_kernel) + " vs " +
-                       scale::scan_kernel_name(flipped.scan_kernel) + "): " + d};
-  }
-
   auto mirrored = std::make_unique<scale::Engine>(config, topo, opt, sc.seed);
   scale::MirrorScheduler mirror(std::move(mirrored));
   Scheduler* scheduler = &mirror;
@@ -974,8 +953,8 @@ ScenarioOutcome run_scale_scenario(const Scenario& sc) {
 /// The stream-scenario check: the hybrid tick+event driver must (a) be
 /// accepted by pob/async replaying its exact transfer stream in continuous
 /// time and reproduce every field — including the streaming metrics,
-/// recomputed independently from the log — (b) agree with itself across job
-/// counts, and (c) agree with itself across scan kernels.
+/// recomputed independently from the log — and (b) agree with itself across
+/// job counts.
 ScenarioOutcome run_stream_scenario(const Scenario& sc) {
   const StreamMirrorReport mirror = stream_mirror_check(make_stream_spec(sc), 1);
   if (!mirror.ok) {
@@ -990,20 +969,6 @@ ScenarioOutcome run_stream_scenario(const Scenario& sc) {
     const RunResult r4 = threaded.run(4);
     if (const std::string d = diff_run_results(r_serial, r4); !d.empty()) {
       return {false, "stream engine diverges between jobs=1 and jobs=4: " + d};
-    }
-  }
-
-  {
-    scale::stream::StreamSpec spec = make_stream_spec(sc);
-    spec.config.record_trace = true;
-    spec.options.scan_kernel =
-        spec.options.scan_kernel == scale::ScanKernel::kScalar
-            ? scale::ScanKernel::kAuto
-            : scale::ScanKernel::kScalar;
-    scale::stream::StreamEngine other(std::move(spec));
-    const RunResult r = other.run(1);
-    if (const std::string d = diff_run_results(r_serial, r); !d.empty()) {
-      return {false, "stream engine diverges between scan kernels: " + d};
     }
   }
 

@@ -84,9 +84,9 @@ struct Scenario {
   FaultKind fault = FaultKind::kNone;
 
   // --- Stream axis (pob/scale/stream; kScale + kRandomized only) -------
-  // A stream scenario runs the hybrid tick+event driver three ways (serial,
-  // jobs=4, flipped scan kernel) and mirrors it through pob/async; arrivals
-  // replace config departures, rate classes replace the static hetero caps.
+  // A stream scenario runs the hybrid tick+event driver twice (serial and
+  // jobs=4) and mirrors it through pob/async; arrivals replace config
+  // departures, rate classes replace the static hetero caps.
   bool stream = false;
   scale::stream::ArrivalPattern arrival_pattern =
       scale::stream::ArrivalPattern::kFlashCrowd;

@@ -60,4 +60,11 @@ std::vector<std::int64_t> Args::get_int_list(std::string_view flag,
   return out;
 }
 
+BlockPolicy parse_policy(const Args& args) {
+  const std::string p = args.get_string("policy", "random");
+  if (p == "random") return BlockPolicy::kRandom;
+  if (p == "rarest" || p == "rarest-first") return BlockPolicy::kRarestFirst;
+  throw std::invalid_argument("unknown --policy=" + p + " (random | rarest)");
+}
+
 }  // namespace pob

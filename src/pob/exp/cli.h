@@ -9,6 +9,8 @@
 #include <string_view>
 #include <vector>
 
+#include "pob/rand/randomized.h"
+
 namespace pob {
 
 class Args {
@@ -30,5 +32,10 @@ class Args {
   std::string program_;
   std::map<std::string, std::string, std::less<>> values_;
 };
+
+/// --policy: "random" (the default), "rarest" or "rarest-first". Throws
+/// std::invalid_argument on anything else, so a typo cannot silently run
+/// a different protocol.
+BlockPolicy parse_policy(const Args& args);
 
 }  // namespace pob

@@ -14,12 +14,6 @@
 #include "pob/scale/sched_randomized.h"
 #include "pob/scale/sched_riffle.h"
 
-#if defined(__AVX2__)
-#include <immintrin.h>
-#elif defined(__ARM_NEON) && defined(__aarch64__)
-#include <arm_neon.h>
-#endif
-
 namespace pob::scale {
 
 namespace {
@@ -77,18 +71,10 @@ void check_intent_bound(std::uint64_t bound) {
   }
 }
 
-#if defined(__AVX2__)
-constexpr const char* kAutoKernelName = "avx2";
-#elif defined(__ARM_NEON) && defined(__aarch64__)
-constexpr const char* kAutoKernelName = "neon";
-#else
-constexpr const char* kAutoKernelName = "unrolled";
-#endif
-
 }  // namespace
 
 const char* scan_kernel_name(ScanKernel kernel) {
-  return kernel == ScanKernel::kScalar ? "scalar" : kAutoKernelName;
+  return kernel == ScanKernel::kScalar ? "scalar" : "guided";
 }
 
 // --- PairTable -----------------------------------------------------------
@@ -438,9 +424,13 @@ bool Engine::summary_overlap(NodeId u, NodeId v) const {
 
 bool Engine::scan_pair(NodeId u, const std::uint64_t* su, NodeId v,
                        DiffScan& scan, bool guided) const {
+  const std::uint64_t* sv = row(v);
   std::uint32_t entries = 0;
   std::uint32_t total = 0;
-  const auto record = [&](std::uint32_t w, std::uint64_t d) {
+  // Records word w of su \ sv if it holds any block v lacks.
+  const auto record = [&](std::uint32_t w) {
+    const std::uint64_t d = su[w] & ~sv[w];
+    if (d == 0) return;
     scan.widx[entries] = w;
     scan.words[entries] = d;
     const auto c = static_cast<std::uint32_t>(std::popcount(d));
@@ -448,63 +438,16 @@ bool Engine::scan_pair(NodeId u, const std::uint64_t* su, NodeId v,
     ++entries;
     total += c;
   };
-
-  const std::uint64_t* sv = row(v);
-  // Dense linear sweep, widest compiled-in vector path. Each quad (or
-  // pair) is tested for any useful bit at once; only quads that hit pay
-  // for per-word recording.
   const auto linear_sweep = [&] {
-    std::uint32_t w = 0;
-#if defined(__AVX2__)
-    for (; w + 4 <= stride_; w += 4) {
-      const __m256i a = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(su + w));
-      const __m256i b = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(sv + w));
-      const __m256i d = _mm256_andnot_si256(b, a);  // a & ~b
-      if (_mm256_testz_si256(d, d) != 0) continue;
-      alignas(32) std::uint64_t lane[4];
-      _mm256_store_si256(reinterpret_cast<__m256i*>(lane), d);
-      for (std::uint32_t j = 0; j < 4; ++j) {
-        if (lane[j] != 0) record(w + j, lane[j]);
-      }
-    }
-#elif defined(__ARM_NEON) && defined(__aarch64__)
-    for (; w + 2 <= stride_; w += 2) {
-      const uint64x2_t a = vld1q_u64(su + w);
-      const uint64x2_t b = vld1q_u64(sv + w);
-      const uint64x2_t d = vbicq_u64(a, b);  // a & ~b
-      if (vmaxvq_u32(vreinterpretq_u32_u64(d)) == 0) continue;
-      const std::uint64_t d0 = vgetq_lane_u64(d, 0);
-      const std::uint64_t d1 = vgetq_lane_u64(d, 1);
-      if (d0 != 0) record(w, d0);
-      if (d1 != 0) record(w + 1, d1);
-    }
-#else
-    for (; w + 4 <= stride_; w += 4) {
-      const std::uint64_t d0 = su[w] & ~sv[w];
-      const std::uint64_t d1 = su[w + 1] & ~sv[w + 1];
-      const std::uint64_t d2 = su[w + 2] & ~sv[w + 2];
-      const std::uint64_t d3 = su[w + 3] & ~sv[w + 3];
-      if ((d0 | d1 | d2 | d3) == 0) continue;
-      if (d0 != 0) record(w, d0);
-      if (d1 != 0) record(w + 1, d1);
-      if (d2 != 0) record(w + 2, d2);
-      if (d3 != 0) record(w + 3, d3);
-    }
-#endif
-    for (; w < stride_; ++w) {
-      const std::uint64_t d = su[w] & ~sv[w];
-      if (d != 0) record(w, d);
-    }
+    for (std::uint32_t w = 0; w < stride_; ++w) record(w);
   };
 
-  if (opt_.scan_kernel == ScanKernel::kScalar) {
-    // Reference kernel: the historical one-word-at-a-time sweep. Every
-    // other path below must record the identical entry sequence.
-    for (std::uint32_t w = 0; w < stride_; ++w) {
-      const std::uint64_t d = su[w] & ~sv[w];
-      if (d != 0) record(w, d);
-    }
-  } else if (guided) {
+  if (opt_.scan_kernel == ScanKernel::kScalar || !guided) {
+    // kScalar is the reference: always the linear sweep. Unguided: the
+    // caller's expected-diff heuristic said a rejection is unlikely, so go
+    // straight at the rows without touching the summaries.
+    linear_sweep();
+  } else {
     // The caller already paid for the summary rows, so use them: chunk
     // candidates are words where u holds something AND v still misses
     // something. (Tail bits of both rows are 0, so a "full" sv word kills
@@ -515,33 +458,19 @@ bool Engine::scan_pair(NodeId u, const std::uint64_t* su, NodeId v,
     for (std::uint32_t g = 0; g < sum_stride_; ++g) {
       cand += static_cast<std::uint32_t>(std::popcount(hu[g] & mv[g]));
     }
-    if (cand == 0) {
-      scan.entries = 0;
-      scan.total = 0;
-      return false;
-    }
-    if (cand * 4 <= stride_) {
+    if (cand * 4 > stride_) {
+      linear_sweep();
+    } else {
       // Sparse guided walk: visit only candidate words, ascending — the
       // endgame shape, where one or two chunks are still in play. The
       // guided/linear choice is a pure function of possession state, and
       // both record the same entries, so it cannot perturb determinism.
       for (std::uint32_t g = 0; g < sum_stride_; ++g) {
-        std::uint64_t m = hu[g] & mv[g];
-        while (m != 0) {
-          const std::uint32_t w =
-              (g << 6) + static_cast<std::uint32_t>(std::countr_zero(m));
-          m &= m - 1;
-          const std::uint64_t d = su[w] & ~sv[w];
-          if (d != 0) record(w, d);
+        for (std::uint64_t m = hu[g] & mv[g]; m != 0; m &= m - 1) {
+          record((g << 6) + static_cast<std::uint32_t>(std::countr_zero(m)));
         }
       }
-    } else {
-      linear_sweep();
     }
-  } else {
-    // Unguided: the caller's expected-diff heuristic said a rejection is
-    // unlikely, so go straight at the rows without touching the summaries.
-    linear_sweep();
   }
   scan.entries = entries;
   scan.total = total;
@@ -587,7 +516,7 @@ BlockId Engine::pick_from_scan(const DiffScan& scan, Rng& rng) const {
   // Rarest first over the live replica counts, with the same reservoir
   // tie-break idiom (and the same rng draw sequence) as
   // BlockSet::pick_rarest_useful. Entries are recorded in ascending word
-  // order by every kernel, so the block visit order — and therefore the
+  // order by both scan paths, so the block visit order — and therefore the
   // reservoir draws — match the historical dense walk exactly.
   BlockId best = kNoBlock;
   std::uint32_t best_freq = 0;

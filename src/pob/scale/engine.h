@@ -32,11 +32,12 @@
 //     summary_missing(v) is nonzero, so near-complete receivers and empty
 //     chunks reject probes in O(ceil(k/4096)) words without touching the
 //     possession rows. Both summaries are maintained in the apply commit.
-//   * a VECTORIZED word-diff scan (AVX2 / NEON when compiled in, an
-//     unrolled four-word uint64 sweep otherwise; ScanKernel::kScalar forces
-//     the one-word reference loop) that records only the nonzero diff words
-//     and their popcounts, in ascending word order — so block selection
-//     consumes the identical RNG draw sequence as the historical scan.
+//   * a WORD-DIFF scan that records only the nonzero words of su \ sv and
+//     their popcounts, in ascending word order — so block selection
+//     consumes the identical RNG draw sequence as the historical scan. It
+//     is a one-word loop over the rows or, when few summary chunks are in
+//     play, a walk over just those chunks' words (ScanKernel::kScalar
+//     forces the loop).
 //   * PROBE-OUTCOME CACHES, one per sender shard, keyed on (u, v) and both
 //     endpoints' possession versions: a failed probe whose endpoints have
 //     not gained blocks since is rejected O(1) without rescanning. The
@@ -66,8 +67,7 @@
 // on its own. scale::MirrorScheduler replays the exact same plan/apply
 // semantics through core::Engine and the pob/check reference oracle, and
 // the scenario fuzzer cross-checks all three on overlapping n (see
-// pob/check/scenario.h, EngineKind::kScale) — including scalar vs
-// vectorized scan kernels against each other.
+// pob/check/scenario.h, EngineKind::kScale).
 
 #pragma once
 
@@ -88,15 +88,15 @@
 
 namespace pob::scale {
 
-/// Which word-diff kernel the generate phase uses. kAuto picks the widest
-/// compiled-in path (AVX2, then NEON, then the unrolled uint64 sweep);
-/// kScalar forces the one-word-at-a-time reference loop. Both orders are
-/// ascending-word and both record identical diffs, so every digest is
-/// bit-identical across kernels — CI pins the 200k run both ways.
+/// How the generate phase scans su \ sv. kAuto may take the summary-guided
+/// sparse walk when few chunks are in play and the one-word linear sweep
+/// otherwise; kScalar is the reference: the linear sweep only, never the
+/// guided walk. Both record identical ascending-word diffs, so every digest
+/// is bit-identical either way (ScaleEngine.BlockCountEdges pins it at rows
+/// wide enough for the guided walk to run).
 enum class ScanKernel : std::uint8_t { kAuto = 0, kScalar = 1 };
 
-/// The name of the path `kernel` resolves to in this build: "avx2", "neon"
-/// or "unrolled" for kAuto (compile-time dispatch), "scalar" for kScalar.
+/// "guided" for kAuto, "scalar" for kScalar.
 const char* scan_kernel_name(ScanKernel kernel);
 
 struct ScaleOptions {
@@ -138,8 +138,8 @@ struct ScaleOptions {
   /// and tests.
   bool collect_phase_timings = false;
 
-  /// Word-diff kernel selection; see ScanKernel. Results are identical
-  /// either way — kScalar exists so tests and CI can prove exactly that.
+  /// Word-diff scan selection; see ScanKernel. Results are identical
+  /// either way — kScalar exists so tests can prove exactly that.
   ScanKernel scan_kernel = ScanKernel::kAuto;
 
   /// 0 = the paper's random block demand. >= 1 enables SEQUENTIAL demand
@@ -449,11 +449,11 @@ class Engine {
   bool summary_overlap(NodeId u, NodeId v) const;
 
   /// Fills `scan` with the nonzero words of su \ sv (ascending word index)
-  /// via the configured kernel; returns scan.total != 0. `su` is u's
-  /// resolved sender row (see resolve_sender_row). `guided` allows the
-  /// summary-driven sparse walk (the caller has already paid for the
-  /// summary rows); false goes straight to the linear vector sweep. Every
-  /// path records identical entries; the choice is perf-only.
+  /// and returns scan.total != 0. `su` is u's resolved sender row (see
+  /// resolve_sender_row). `guided` allows the summary-driven sparse walk
+  /// (the caller has already paid for the summary rows); false, or
+  /// ScanKernel::kScalar, goes straight to the linear sweep. Both paths
+  /// record identical entries; the choice is perf-only.
   bool scan_pair(NodeId u, const std::uint64_t* su, NodeId v, DiffScan& scan,
                  bool guided) const;
 

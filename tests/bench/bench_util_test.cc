@@ -37,6 +37,17 @@ TEST(BenchUtil, SweepBaselineHandlesSingletonSerial) {
   EXPECT_EQ(sweep_baseline_index({1u}), 0u);
 }
 
+TEST(BenchUtil, SweepJobsDedupesAfterClampingAndFallsBackToJobs) {
+  // Both huge requests clamp to the same 4x-cores cap (>= 4): one run, not
+  // two, and the repeated 1 collapses too.
+  const char* sweep_argv[] = {"bench", "--sweep=1,2,1,100000,200000"};
+  EXPECT_EQ(sweep_jobs(Args(2, sweep_argv)),
+            (std::vector<unsigned>{1u, 2u, jobs_from_flag(100000)}));
+
+  const char* jobs_argv[] = {"bench", "--jobs=3"};
+  EXPECT_EQ(sweep_jobs(Args(2, jobs_argv)), std::vector<unsigned>{3u});
+}
+
 TEST(BenchUtil, JsonReportEmitsTheCertifiedPairUnderStableKeys) {
   // CI greps `certified_price` out of the archived BENCH_*.json files, so the
   // helper's key names are a contract, not a convenience.

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 namespace pob {
 namespace {
 
@@ -33,6 +35,20 @@ TEST(Cli, DoubleAndStringValues) {
   EXPECT_DOUBLE_EQ(args.get_double("rate", 0.0), 2.5);
   EXPECT_EQ(args.get_string("policy", "random"), "rarest");
   EXPECT_EQ(args.get_string("other", "fallback"), "fallback");
+}
+
+TEST(Cli, ParsePolicyAcceptsTheThreeSpellingsAndRejectsTheRest) {
+  EXPECT_EQ(parse_policy(make_args({"prog"})), BlockPolicy::kRandom);
+  EXPECT_EQ(parse_policy(make_args({"prog", "--policy=random"})), BlockPolicy::kRandom);
+  EXPECT_EQ(parse_policy(make_args({"prog", "--policy=rarest"})),
+            BlockPolicy::kRarestFirst);
+  EXPECT_EQ(parse_policy(make_args({"prog", "--policy=rarest-first"})),
+            BlockPolicy::kRarestFirst);
+  EXPECT_THROW(parse_policy(make_args({"prog", "--policy=rarset"})),
+               std::invalid_argument);
+  EXPECT_THROW(parse_policy(make_args({"prog", "--policy="})), std::invalid_argument);
+  EXPECT_THROW(parse_policy(make_args({"prog", "--policy=Random"})),
+               std::invalid_argument);
 }
 
 TEST(Cli, IntListParsing) {

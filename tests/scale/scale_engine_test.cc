@@ -271,9 +271,14 @@ TEST(ScaleEngine, ChurnOnNearCompleteAndCompleteNodesMatchesUnchurnedTwin) {
 
 TEST(ScaleEngine, BlockCountEdges) {
   // k = 1 and 63/64/65 put the possession rows and summaries against the
-  // tail mask and the word boundary. record_trace makes the digest cover
-  // every transfer of every tick; jobs and the scan kernel must not move it.
-  for (const std::uint32_t k : {1u, 63u, 64u, 65u}) {
+  // tail mask and the word boundary. From 255 up the rows are wide enough
+  // (>= 4 words) for kAuto to take the summary-guided sparse walk, which
+  // kScalar never does; past 4096 every summary row has a second word for
+  // top_block, first_missing and summary_overlap to loop over. record_trace
+  // makes the digest cover every transfer of every tick; neither jobs nor
+  // the scan path may move it.
+  for (const std::uint32_t k :
+       {1u, 63u, 64u, 65u, 255u, 256u, 257u, 4095u, 4096u, 4097u, 8193u}) {
     SCOPED_TRACE(k);
     EngineConfig cfg;
     cfg.num_nodes = 40;

@@ -15,8 +15,7 @@
 //                (--algo=binomial-pipeline | riffle | triangular), sized for
 //                n up to 10^6+. --jobs then parallelizes ticks *within* one
 //                run (bit-identical at any value); --probes tunes its
-//                per-slot neighbor probing; --simd=off forces the scalar
-//                scan kernel (same results).
+//                per-slot neighbor probing.
 //                    pobsim --engine=scale --n=1000000 --k=512
 //                           --overlay=regular --degree=16 --jobs=0
 //                    pobsim --engine=scale --algo=riffle --n=1048576 --k=512
@@ -115,13 +114,6 @@ std::unique_ptr<Mechanism> make_mechanism(const Args& args) {
   throw std::invalid_argument("unknown mechanism: " + kind);
 }
 
-BlockPolicy parse_policy(const Args& args) {
-  const std::string p = args.get_string("policy", "random");
-  if (p == "random") return BlockPolicy::kRandom;
-  if (p == "rarest" || p == "rarest-first") return BlockPolicy::kRarestFirst;
-  throw std::invalid_argument("unknown policy: " + p);
-}
-
 std::shared_ptr<const scale::Topology> make_scale_topology(const Args& args,
                                                            std::uint32_t n, Rng& rng) {
   const std::string kind = args.get_string("overlay", "complete");
@@ -181,11 +173,6 @@ int run_scale(const Args& args, const EngineConfig& cfg, std::uint32_t n,
   scale::ScaleOptions opt;
   opt.policy = parse_policy(args);
   opt.max_probes = static_cast<std::uint32_t>(args.get_int("probes", 16));
-  // --simd=off forces the scalar reference scan kernel (results identical,
-  // only seconds differ) — the same flag scale_throughput takes.
-  opt.scan_kernel = args.get_string("simd", "auto") == "off"
-                        ? scale::ScanKernel::kScalar
-                        : scale::ScanKernel::kAuto;
   const std::string algo = args.get_string("algo", "randomized");
   if (algo == "binomial-pipeline" || algo == "binomial") {
     opt.scheduler = scale::SchedKind::kBinomialPipeline;
@@ -295,9 +282,6 @@ int run_stream(const Args& args, const EngineConfig& cfg, std::uint32_t n,
   spec.topology = make_scale_topology(args, n, topo_rng);
   spec.options.policy = parse_policy(args);
   spec.options.max_probes = static_cast<std::uint32_t>(args.get_int("probes", 16));
-  spec.options.scan_kernel = args.get_string("simd", "auto") == "off"
-                                 ? scale::ScanKernel::kScalar
-                                 : scale::ScanKernel::kAuto;
 
   const std::string arrivals = args.get_string("arrivals", "batch");
   if (arrivals == "poisson") {
