@@ -7,7 +7,9 @@
 // (generate / merge / apply), peak RSS, and bytes of engine state. With
 // --sweep the identical configuration is re-run once per job count and the
 // speedup column records the scaling curve (every run is bit-identical to
-// every other — only the wall-clock may differ). Results land in
+// every other — only the wall-clock may differ; the RunResult digest of
+// each run is printed and archived, and the bench exits 1 if the sweep's
+// digests differ). Results land in
 // BENCH_scale.json (override with --json=<path>) so CI can archive the
 // trajectory.
 //
@@ -28,6 +30,7 @@
 //
 // The run itself is deterministic for a given (seed, config) at any --jobs.
 
+#include <algorithm>
 #include <chrono>
 #include <iostream>
 #include <stdexcept>
@@ -35,6 +38,7 @@
 
 #include "bench_util.h"
 #include "pob/analysis/bounds.h"
+#include "pob/check/oracle.h"
 #include "pob/flow/certify.h"
 #include "pob/scale/engine.h"
 
@@ -50,6 +54,7 @@ struct SweepPoint {
   scale::PhaseTimings phases;
   std::uint64_t state_bytes = 0;
   double build_seconds = 0.0;
+  std::uint64_t digest = 0;
 };
 
 int main_impl(int argc, char** argv) {
@@ -128,6 +133,7 @@ int main_impl(int argc, char** argv) {
     p.run_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t1).count();
     p.phases = engine.phase_timings();
+    p.digest = check::run_result_digest(p.result);
     const std::uint64_t node_ticks =
         static_cast<std::uint64_t>(n) * p.result.ticks_executed;
     if (p.run_seconds > 0.0) {
@@ -195,6 +201,18 @@ int main_impl(int argc, char** argv) {
                                : 0.0;
   std::cout << "# certificate: T*=" << cert.lower_bound << ", certified price "
             << fmt(certified, 3) << "\n";
+  // One digest line when every sweep run agrees, one per job count if not.
+  const bool digests_agree =
+      std::all_of(points.begin(), points.end(),
+                  [&](const SweepPoint& p) { return p.digest == head.digest; });
+  if (digests_agree) {
+    std::cout << "# digest " << std::hex << head.digest << std::dec << "\n";
+  } else {
+    for (const SweepPoint& p : points) {
+      std::cout << "# digest " << std::hex << p.digest << std::dec << " (jobs="
+                << p.jobs << ")\n";
+    }
+  }
 
   bench::JsonReport json;
   json.str("bench", "scale_throughput")
@@ -224,7 +242,8 @@ int main_impl(int argc, char** argv) {
       .num("phase_merge_seconds", head.phases.merge_seconds)
       .num("phase_apply_seconds", head.phases.apply_seconds)
       .count("state_bytes", head.state_bytes)
-      .count("peak_rss_kb", rss_kb);
+      .count("peak_rss_kb", rss_kb)
+      .count("digest", head.digest);
   bench::add_host_fields(json);
   if (points.size() > 1) {
     // The scaling trajectory, one flat field group per job count so the
@@ -247,10 +266,15 @@ int main_impl(int argc, char** argv) {
                                        : 0.0)
           .num("phase_generate_seconds" + suffix, p.phases.generate_seconds)
           .num("phase_merge_seconds" + suffix, p.phases.merge_seconds)
-          .num("phase_apply_seconds" + suffix, p.phases.apply_seconds);
+          .num("phase_apply_seconds" + suffix, p.phases.apply_seconds)
+          .count("digest" + suffix, p.digest);
     }
   }
   if (!json.write(args, "BENCH_scale.json")) return 1;
+  if (!digests_agree) {
+    std::cerr << "scale_throughput: RunResult digest differs across job counts\n";
+    return 1;
+  }
   return head.result.completed || cfg.max_ticks != 0 ? 0 : 1;
 }
 

@@ -388,6 +388,7 @@ Engine::Engine(const EngineConfig& config, std::shared_ptr<const Topology> topol
   freq_scratch_.configure(recv_shards_, k_);
   leaving_shards_.resize(recv_shards_);
   completions_scratch_.assign(recv_shards_, 0);
+  ledgers_.resize(recv_shards_);
 
   departures_ = cfg_.departures;
   std::sort(departures_.begin(), departures_.end());
@@ -612,7 +613,7 @@ bool Engine::neighborhood_exhausted(NodeId u, const std::uint64_t* su,
     const std::uint32_t ver_v = count_[v];
     if (active_[v] == 0 || ver_v >= k_) continue;
     if (credit &&
-        ledger_.net(u, v) + 1 > static_cast<std::int64_t>(opt_.credit_limit)) {
+        ledger_of(u, v).net(u, v) + 1 > static_cast<std::int64_t>(opt_.credit_limit)) {
       continue;
     }
     if (!summary_overlap(u, v)) continue;
@@ -654,8 +655,8 @@ void Engine::generate_node(NodeId u, Rng& rng, NodeId first_probe,
         if (out[i].to == v) { repeat = true; break; }
       }
       if (repeat) continue;
-      if (credit &&
-          ledger_.net(u, v) + 1 > static_cast<std::int64_t>(opt_.credit_limit)) {
+      if (credit && ledger_of(u, v).net(u, v) + 1 >
+                        static_cast<std::int64_t>(opt_.credit_limit)) {
         continue;
       }
       if (!probe_viable(u, su, ver_u, v, ver_v, scan, cache)) continue;
@@ -1010,7 +1011,9 @@ void Engine::commit_serial(Tick tick, std::span<const Transfer> accepted) {
     }
     // Mirrors CreditLimited::commit_tick: server-involved transfers never
     // touch the ledger.
-    if (opt_.credit_limit != 0 && tr.from != kServer) ledger_.record(tr.from, tr.to);
+    if (opt_.credit_limit != 0 && tr.from != kServer) {
+      ledger_of(tr.from, tr.to).record(tr.from, tr.to);
+    }
   }
 }
 
@@ -1086,7 +1089,14 @@ void Engine::apply_merged(Tick tick, std::span<const Transfer> accepted,
   // 3c. Sender-side upload accounting. The accepted stream is non-
   // decreasing in `from` (canonical order is sender node order), so sender
   // shards find their contiguous slice by binary search and own their
-  // uploads_per_node_ range exclusively.
+  // uploads_per_node_ range exclusively. In credit mode the same pass then
+  // commits ledgers_[r], every pair whose lower id lies in shard r, in one
+  // go: transfers the lower id received come from receiver bucket r, those
+  // it sent from the sender slice (server uploads excepted, as in
+  // commit_serial). Only shard r writes ledgers_[r] and a pair's net is a
+  // plain sum, so the ledger is the one apply() builds. (Recording the
+  // received half inside 3a instead measured slower at jobs 1 and 4 alike;
+  // EXPERIMENTS.md E24.)
   for_shards(pool, R, [&](std::uint32_t r) {
     const NodeId first = static_cast<NodeId>(r) * recv_width_;
     const NodeId last = static_cast<NodeId>(
@@ -1097,16 +1107,16 @@ void Engine::apply_merged(Tick tick, std::span<const Transfer> accepted,
     const auto hi = std::partition_point(
         lo, accepted.end(), [&](const Transfer& t) { return t.from < last; });
     for (auto it = lo; it != hi; ++it) ++uploads_per_node_[it->from];
-  });
-
-  // 3d. Ledger commit stays serial: the pairwise map is shared and the pass
-  // only runs in credit mode. Stream order matches apply()'s, so the two
-  // commit paths build the identical ledger.
-  if (opt_.credit_limit != 0) {
-    for (const Transfer& tr : accepted) {
-      if (tr.from != kServer) ledger_.record(tr.from, tr.to);
+    if (opt_.credit_limit == 0) return;
+    CreditLedger& ledger = ledgers_[r];
+    for (std::uint32_t i = bucket_offsets_[r]; i < bucket_offsets_[r + 1]; ++i) {
+      const Transfer& tr = bucket_[i].tr;
+      if (tr.to < tr.from && accept_[bucket_[i].idx] != 0) ledger.record(tr.from, tr.to);
     }
-  }
+    for (auto it = lo; it != hi; ++it) {
+      if (it->from != kServer && it->from < it->to) ledger.record(it->from, it->to);
+    }
+  });
   if (timing) timings_.apply_seconds += seconds_since(stamp);
 }
 
@@ -1331,7 +1341,7 @@ std::uint64_t Engine::state_bytes() const {
   bytes += leaving_.capacity() * sizeof(NodeId);
   bytes += accepted_.capacity() * sizeof(Transfer);
   bytes += departures_.capacity() * sizeof(std::pair<Tick, NodeId>);
-  bytes += ledger_.memory_bytes();
+  for (const CreditLedger& ledger : ledgers_) bytes += ledger.memory_bytes();
   bytes += topo_->memory_bytes();
   return bytes;
 }

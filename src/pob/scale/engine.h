@@ -11,15 +11,16 @@
 //   * neighbor adjacency is CSR (scale::Topology), not a virtual Overlay;
 //   * each tick runs in three phases — INTENT GENERATION sharded by sender
 //     range, a MERGE sharded by receiver range, and an APPLY sharded by
-//     receiver (state commit) and sender (upload accounting) — all three on
-//     the pob/exp ThreadPool. The transfer stream and the final RunResult
-//     are bit-identical at any --jobs value: intents are a pure function of
-//     (seed, tick, node) via trial_seed-derived per-node RNG streams, every
-//     merge constraint is per-receiver (so receiver shards decide
-//     independently, each walking its receivers' intents in canonical node
-//     order), and the accepted stream is reconstructed from per-intent
-//     accept flags in the exact order the old serial merge emitted. Shard
-//     counts are pure functions of n, never of the worker count.
+//     receiver (state commit) and sender (upload accounting and the credit
+//     ledger) — all three on the pob/exp ThreadPool. The transfer stream
+//     and the final RunResult are bit-identical at any --jobs value:
+//     intents are a pure function of (seed, tick, node) via
+//     trial_seed-derived per-node RNG streams, every merge constraint is
+//     per-receiver (so receiver shards decide independently, each walking
+//     its receivers' intents in canonical node order), and the accepted
+//     stream is reconstructed from per-intent accept flags in the exact
+//     order the old serial merge emitted. Shard counts are pure functions
+//     of n, never of the worker count.
 //
 // The generate phase — the single-core ceiling at n = 10^6, where endgame
 // ticks make almost every probe useless — is accelerated three ways, none
@@ -212,7 +213,8 @@ class Engine {
   /// Commits a planned stream: possession bits and summaries, possession
   /// versions, replica counts, completion ticks, per-node upload totals,
   /// and the credit ledger. Serial; run() uses the receiver/sender-sharded
-  /// commit instead, which leaves the engine in the identical state.
+  /// commit instead (ledger included), which leaves the engine in the
+  /// identical state.
   void apply(Tick tick, std::span<const Transfer> accepted);
 
   /// Removes a node (idempotent; the server cannot depart): its capacity
@@ -259,6 +261,11 @@ class Engine {
   std::uint64_t active_upload_slots() const { return active_slots_; }
   std::uint32_t num_departed() const { return num_departed_; }
   Count node_uploads(NodeId node) const { return uploads_per_node_[node]; }
+  /// Credit-mode ledger: net blocks `from` has sent `to` minus blocks
+  /// received back (0 outside credit mode and for server pairs).
+  std::int64_t credit_net(NodeId from, NodeId to) const {
+    return ledger_of(from, to).net(from, to);
+  }
 
   bool is_active(NodeId node) const { return active_[node] != 0; }
   bool is_complete(NodeId node) const { return count_[node] >= k_; }
@@ -438,6 +445,14 @@ class Engine {
 
   std::uint32_t recv_shard_of(NodeId v) const { return v >> recv_shift_; }
 
+  /// The ledger shard holding pair {a, b}: the receiver shard of min(a, b).
+  CreditLedger& ledger_of(NodeId a, NodeId b) {
+    return ledgers_[recv_shard_of(std::min(a, b))];
+  }
+  const CreditLedger& ledger_of(NodeId a, NodeId b) const {
+    return ledgers_[recv_shard_of(std::min(a, b))];
+  }
+
   /// Most intents sender u can emit in one tick at upload capacity `up`:
   /// one per slot, and at most one per neighbor.
   std::uint64_t max_intents(NodeId u, std::uint32_t up) const {
@@ -523,8 +538,9 @@ class Engine {
   /// summaries / counts / completion sharded by receiver, upload totals
   /// sharded by sender (the accepted stream is non-decreasing in `from`),
   /// frequency deltas reduced from per-shard scratch in fixed shard order,
-  /// ledger commit serial. Leaves the engine in the exact state apply()
-  /// would.
+  /// ledger committed by the sender pass, shard r recording every pair
+  /// whose lower id lies in its range. Leaves the engine in the exact state
+  /// apply() would.
   void apply_merged(Tick tick, std::span<const Transfer> accepted, ThreadPool* pool);
 
   EngineConfig cfg_;
@@ -569,16 +585,20 @@ class Engine {
   std::uint32_t num_incomplete_ = 0;
   std::uint32_t num_departed_ = 0;
   std::uint64_t active_slots_ = 0;
-  CreditLedger ledger_;  // §3.2 pairwise net-transfer ledger (credit mode)
+  // §3.2 pairwise net-transfer ledger (credit mode), one per receiver
+  // shard: pair {u, v} lives in the shard of min(u, v), so the sharded
+  // apply records it without a lock (see ledger_of).
+  std::vector<CreditLedger> ledgers_;
 
   // Receiver shards: contiguous node-id ranges of width recv_width_ (a
   // power of two, so the merge's three million-intent passes shard with a
   // shift instead of an integer division). Every merge/apply constraint
   // that crosses sender shards is per-receiver, so shard r exclusively owns
   // down_used_/down_stamp_/count_/completion_/possession+summary rows for
-  // its range. All three values are pure functions of n — and because each
-  // receiver lives wholly inside one shard and shards decide independently
-  // in canonical order, the admitted stream does not depend on the widths.
+  // its range, and ledgers_[r] for every pair whose lower id is in it.
+  // All three values are pure functions of n — and because each receiver
+  // lives wholly inside one shard and shards decide independently in
+  // canonical order, the admitted stream does not depend on the widths.
   std::uint32_t recv_shards_ = 1;
   std::uint32_t recv_width_ = 1;
   std::uint32_t recv_shift_ = 0;
