@@ -114,14 +114,14 @@ RunResult run_with_state(const EngineConfig& config, Scheduler& scheduler,
     if (!config.download_capacities.empty()) return config.download_capacities[node];
     return config.download_capacity;
   };
-  // The paper's model requires d >= u for every client (§2.1); the server
-  // never downloads, so its entries are exempt (e.g. §2.3.4's m*u server).
+  // The paper's model requires d >= u (§2.1) and d >= 1 for every client;
+  // the server never downloads, so its entries are exempt (§2.3.4's m*u).
   for (NodeId c = 1; c < n; ++c) {
-    if (down_cap_of(c) < up_cap_of(c)) {
+    if (down_cap_of(c) < std::max(up_cap_of(c), 1u)) {
       throw EngineViolation("config: client " + std::to_string(c) +
                             " has download capacity " + std::to_string(down_cap_of(c)) +
-                            " < upload capacity " + std::to_string(up_cap_of(c)) +
-                            " (the model requires d >= u)");
+                            " and upload capacity " + std::to_string(up_cap_of(c)) +
+                            " (the model requires d >= u and d >= 1)");
     }
   }
   const Tick cap = config.max_ticks != 0

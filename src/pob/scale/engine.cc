@@ -194,21 +194,20 @@ Engine::Engine(const EngineConfig& config, std::shared_ptr<const Topology> topol
     down_caps_[u] = !cfg_.download_capacities.empty() ? cfg_.download_capacities[u]
                                                       : cfg_.download_capacity;
   }
+  // d >= 1 matters beyond the model: admit takes a receiver's first intent
+  // of a tick without reading its cap.
   for (NodeId c = 1; c < n_; ++c) {
-    if (down_caps_[c] < up_caps_[c]) {
+    if (down_caps_[c] < std::max(up_caps_[c], 1u)) {
       throw EngineViolation("config: client " + std::to_string(c) +
                             " has download capacity " + std::to_string(down_caps_[c]) +
-                            " < upload capacity " + std::to_string(up_caps_[c]) +
-                            " (the model requires d >= u)");
+                            " and upload capacity " + std::to_string(up_caps_[c]) +
+                            " (the model requires d >= u and d >= 1)");
     }
   }
   // One intent per upload slot and at most one per (u, v) pair: no tick
   // can carry more than this many intents.
   for (NodeId u = 0; u < n_; ++u) intent_bound_ += max_intents(u, up_caps_[u]);
   check_intent_bound(intent_bound_);
-  down_caps_unlimited_ = std::all_of(
-      down_caps_.begin(), down_caps_.end(),
-      [](std::uint32_t c) { return c == kUnlimited; });
 
   // Deterministic schedulers run fixed closed-form schedules; a config the
   // schedule was not derived for must be rejected loudly (distinct message
@@ -329,6 +328,7 @@ Engine::Engine(const EngineConfig& config, std::shared_ptr<const Topology> topol
   uploads_per_node_.assign(n_, 0);
   down_used_.assign(n_, 0);
   down_stamp_.assign(n_, 0);
+  first_block_.assign(n_, 0);
 
   // Seed the server with the whole file (tail bits of the last word stay 0 —
   // the planner's word-wise diffs rely on that invariant for every row).
@@ -764,7 +764,32 @@ void Engine::generate_range(std::uint64_t tick_base, NodeId first, NodeId last,
   }
 }
 
+bool Engine::admit(Tick tick, const Transfer& tr, PairTable& delivered) {
+  const NodeId v = tr.to;
+  if (down_stamp_[v] != tick) {
+    down_stamp_[v] = tick;
+    down_used_[v] = 1;
+    first_block_[v] = tr.block;
+    return true;
+  }
+  std::uint32_t& used = down_used_[v];
+  if (used >= down_caps_[v]) return false;  // kUnlimited never binds
+  if (used == 1) {
+    if (tr.block == first_block_[v]) return false;
+    delivered.insert(delivery_key(v, first_block_[v]));  // lazy seed
+  }
+  if (!delivered.insert(delivery_key(v, tr.block))) return false;
+  ++used;
+  return true;
+}
+
 void Engine::plan_phases(Tick tick, std::vector<Transfer>& out, ThreadPool* pool) {
+  if (tick == 0 || tick <= planned_tick_) {
+    throw std::logic_error("scale::Engine: planned tick " + std::to_string(tick) +
+                           " after tick " + std::to_string(planned_tick_) +
+                           " (ticks must strictly increase from 1)");
+  }
+  planned_tick_ = tick;
   const std::uint32_t shard = opt_.shard_nodes;
   const auto num_shards = static_cast<std::uint32_t>(shard_intents_.size());
   const bool timing = opt_.collect_phase_timings;
@@ -785,8 +810,9 @@ void Engine::plan_phases(Tick tick, std::vector<Transfer>& out, ThreadPool* pool
   // owned scratch, so running them on a pool is observationally identical to
   // the serial loop. begin_tick is the scheduler's serial hook (the riffle
   // scheduler materializes the tick's meeting buffer in it); generate()
-  // emits each shard's slice of the canonical sender-ordered stream.
-  sched_->begin_tick(tick);
+  // emits each shard's slice of the canonical sender-ordered stream. A
+  // materialized tick's slices are too cheap to be worth a pool wake.
+  const bool materialized = sched_->begin_tick(tick);
   const std::function<void(std::uint32_t)> generate = [&](std::uint32_t s) {
     auto& intents = shard_intents_[s];
     intents.clear();
@@ -795,7 +821,7 @@ void Engine::plan_phases(Tick tick, std::vector<Transfer>& out, ThreadPool* pool
         std::min<std::uint64_t>(n_, static_cast<std::uint64_t>(first) + shard));
     sched_->generate(tick, s, first, last, intents);
   };
-  for_shards(pool, num_shards, generate);
+  for_shards(materialized ? nullptr : pool, num_shards, generate);
 
   if (timing) {
     timings_.generate_seconds += seconds_since(stamp);
@@ -834,20 +860,7 @@ void Engine::plan_phases(Tick tick, std::vector<Transfer>& out, ThreadPool* pool
     delivered.begin_tick(total);
     for (std::uint32_t s = 0; s < num_shards; ++s) {
       for (const Transfer& tr : shard_intents_[s]) {
-        bool admit;
-        if (down_caps_unlimited_) {
-          admit = delivered.insert(delivery_key(tr.to, tr.block));
-        } else {
-          if (down_stamp_[tr.to] != tick) {
-            down_stamp_[tr.to] = tick;
-            down_used_[tr.to] = 0;
-          }
-          const std::uint32_t dcap = down_caps_[tr.to];
-          admit = dcap == kUnlimited || down_used_[tr.to] < dcap;
-          if (admit) admit = delivered.insert(delivery_key(tr.to, tr.block));
-          if (admit) ++down_used_[tr.to];
-        }
-        if (admit) out.push_back(tr);
+        if (admit(tick, tr, delivered)) out.push_back(tr);
       }
     }
     if (timing) timings_.merge_seconds += seconds_since(stamp);
@@ -895,47 +908,19 @@ void Engine::plan_phases(Tick tick, std::vector<Transfer>& out, ThreadPool* pool
     }
   });
 
-  // 2e. Admission per receiver shard: download capacity + per-(receiver,
-  // block) dedup, each shard with its own epoch-stamped table and its own
-  // slice of down_used_/down_stamp_.
+  // 2e. Admission per receiver shard (admit): download capacity + per-
+  // (receiver, block) dedup, each shard with its own epoch-stamped table and
+  // its own slice of the admission stamps.
   for_shards(pool, R, [&](std::uint32_t r) {
     const std::uint32_t lo = bucket_offsets_[r];
     const std::uint32_t hi = bucket_offsets_[r + 1];
     PairTable& delivered = delivered_[r];
     delivered.begin_tick(hi - lo);
     // (No software prefetch here: each receiver shard's working set —
-    // its slice of down_used_/down_stamp_ — is small enough to stay
-    // cached, and measured prefetching made this loop slower.)
-    if (down_caps_unlimited_) {
-      // With no download cap anywhere, the capacity bookkeeping can never
-      // reject, so admission reduces to the (receiver, block) dedup — and
-      // down_used_/down_stamp_ are never read. Same accepts, same order.
-      // The two random lines per intent — the dedup table's home slot and
-      // the accept flag (indexed by canonical stream position, scattered
-      // across the whole tick) — are warmed a few intents ahead.
-      for (std::uint32_t i = lo; i < hi; ++i) {
-        if (i + 8 < hi) {
-          const MergeItem& ahead = bucket_[i + 8];
-          delivered.prefetch(delivery_key(ahead.tr.to, ahead.tr.block));
-          __builtin_prefetch(&accept_[ahead.idx], 1, 1);
-        }
-        const Transfer& tr = bucket_[i].tr;
-        accept_[bucket_[i].idx] =
-            delivered.insert(delivery_key(tr.to, tr.block)) ? 1 : 0;
-      }
-      return;
-    }
+    // its slice of the admission stamps — is small enough to stay cached,
+    // and measured prefetching made this loop slower.)
     for (std::uint32_t i = lo; i < hi; ++i) {
-      const Transfer& tr = bucket_[i].tr;
-      if (down_stamp_[tr.to] != tick) {
-        down_stamp_[tr.to] = tick;
-        down_used_[tr.to] = 0;
-      }
-      const std::uint32_t dcap = down_caps_[tr.to];
-      bool admit = dcap == kUnlimited || down_used_[tr.to] < dcap;
-      if (admit) admit = delivered.insert(delivery_key(tr.to, tr.block));
-      if (admit) ++down_used_[tr.to];
-      accept_[bucket_[i].idx] = admit ? 1 : 0;
+      accept_[bucket_[i].idx] = admit(tick, bucket_[i].tr, delivered) ? 1 : 0;
     }
   });
 
@@ -1186,12 +1171,7 @@ void Engine::set_capacity(NodeId node, std::uint32_t up, std::uint32_t down) {
     active_slots_ = active_slots_ - up_caps_[node] + up;
   }
   up_caps_[node] = up;
-  if (down_caps_[node] != down) {
-    down_caps_[node] = down;
-    // Demote the all-unlimited fast path once any finite cap appears; never
-    // re-promoted (a scan per change is not worth a perf-only flag).
-    if (down != kUnlimited) down_caps_unlimited_ = false;
-  }
+  down_caps_[node] = down;
   // No sated invalidation: a sated verdict says "no neighbor has a useful
   // block for me to send", which is about possession, not slots.
 }
@@ -1317,6 +1297,7 @@ std::uint64_t Engine::state_bytes() const {
   bytes += uploads_per_node_.size() * sizeof(Count);
   bytes += down_used_.size() * sizeof(std::uint32_t);
   bytes += down_stamp_.size() * sizeof(Tick);
+  bytes += first_block_.size() * sizeof(BlockId);
   bytes += full_row_.capacity() * sizeof(std::uint64_t);
   // Tick scratch: the per-shard intent vectors, diff-scan recordings and
   // probe caches, the admission tables, the merge buckets/flags/offsets,

@@ -207,7 +207,9 @@ class Engine {
 
   /// Appends this tick's merged transfer stream to `out`. Runs the sharded
   /// phases on the calling thread; produces exactly what run() would commit
-  /// on this tick at any job count.
+  /// on this tick at any job count. Ticks must strictly increase from 1
+  /// across plan() calls; tick 0 or a repeated / earlier tick throws
+  /// std::logic_error.
   void plan(Tick tick, std::vector<Transfer>& out);
 
   /// Commits a planned stream: possession bits and summaries, possession
@@ -318,7 +320,7 @@ class Engine {
   /// Arena + index + tick-scratch memory actually allocated, for bench
   /// reporting: possession arena and summaries, per-node arrays (counts —
   /// which double as possession versions — sated stamps, capacities, upload
-  /// totals), topology CSR, the
+  /// totals, merge admission stamps), topology CSR, the
   /// per-shard intent vectors, diff-scan scratch and probe caches, the
   /// merge/apply scratch (buckets, accept flags, admission tables,
   /// frequency scratch), and the credit ledger.
@@ -333,18 +335,12 @@ class Engine {
 
   // A (receiver, block) admission table: open-addressed, epoch-stamped so a
   // tick reset is O(1) and a million inserts touch no allocator. One table
-  // per receiver shard; a receiver's deliveries land in exactly one table.
+  // per receiver shard; a receiver's deliveries land in exactly one table,
+  // and only once it is offered a second block in a tick (see admit).
   class PairTable {
    public:
     void begin_tick(std::size_t expected);
     bool insert(std::uint64_t key);  ///< false if already present this tick
-
-    /// Warms the home slot of a key about to be inserted (the table is a
-    /// random-indexed miss per insert otherwise; the admission loop runs a
-    /// few keys ahead of itself).
-    void prefetch(std::uint64_t key) const {
-      __builtin_prefetch(slots_.data() + (hash(key) & mask_), 1, 1);
-    }
 
     std::uint64_t memory_bytes() const {
       return slots_.capacity() * sizeof(Slot);
@@ -530,6 +526,14 @@ class Engine {
                       std::vector<Transfer>& out, DiffScan& scan,
                       ProbeCache& cache);
   void plan_phases(Tick tick, std::vector<Transfer>& out, ThreadPool* pool);
+  /// Merge admission of one intent against its receiver's download cap and
+  /// the one-delivery-per-(receiver, block) rule. Stamp-first: a receiver's
+  /// first intent of the tick is admitted from down_stamp_ alone (every cap
+  /// is >= 1) and its block parked in first_block_; the second seeds
+  /// `delivered` with that block before inserting its own, so receivers
+  /// offered one block per tick never touch the table. Called in canonical
+  /// order per receiver, from the receiver's owning context only.
+  bool admit(Tick tick, const Transfer& tr, PairTable& delivered);
   /// The serial commit loop shared by the public apply() and the sparse-tick
   /// fast path of apply_merged().
   void commit_serial(Tick tick, std::span<const Transfer> accepted);
@@ -580,7 +584,6 @@ class Engine {
   // can carry. Kept <= 2^32 - 1 (MergeItem::idx is 32-bit) by the
   // constructor and set_capacity.
   std::uint64_t intent_bound_ = 0;
-  bool down_caps_unlimited_ = false;  // merge skips capacity bookkeeping
   std::vector<Count> uploads_per_node_;
   std::uint32_t num_incomplete_ = 0;
   std::uint32_t num_departed_ = 0;
@@ -594,8 +597,9 @@ class Engine {
   // power of two, so the merge's three million-intent passes shard with a
   // shift instead of an integer division). Every merge/apply constraint
   // that crosses sender shards is per-receiver, so shard r exclusively owns
-  // down_used_/down_stamp_/count_/completion_/possession+summary rows for
-  // its range, and ledgers_[r] for every pair whose lower id is in it.
+  // down_used_/down_stamp_/first_block_/count_/completion_/possession+
+  // summary rows for its range, and ledgers_[r] for every pair whose lower
+  // id is in it.
   // All three values are pure functions of n — and because each receiver
   // lives wholly inside one shard and shards decide independently in
   // canonical order, the admitted stream does not depend on the widths.
@@ -617,7 +621,8 @@ class Engine {
   // Tick scratch (reused, never shrunk).
   std::vector<std::vector<Transfer>> shard_intents_;
   std::vector<std::uint32_t> down_used_;    // stamped by down_stamp_
-  std::vector<Tick> down_stamp_;
+  std::vector<Tick> down_stamp_;            // last tick with an admitted intent
+  std::vector<BlockId> first_block_;        // that tick's first admitted block
   std::vector<PairTable> delivered_;        // one per receiver shard
   std::vector<std::size_t> intent_offsets_; // canonical stream offsets, S+1
   std::vector<std::uint32_t> scatter_pos_;  // S x R counts, then cursors
@@ -633,6 +638,9 @@ class Engine {
 
   PhaseTimings timings_;
   bool lockstep_ = false;  // plan() called; run() may no longer be used
+  // The last tick plan_phases ran; ticks must strictly increase from 1,
+  // since admission trusts down_stamp_[v] != tick to mean "first intent".
+  Tick planned_tick_ = 0;
 
   // Set by plan_phases when the tick's intent total is at or below the
   // sparse threshold: the merge ran serially in canonical order (no buckets,

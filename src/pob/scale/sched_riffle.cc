@@ -84,13 +84,8 @@ void RiffleScheduler::emit_segment(const Segment& seg, Tick tick) {
   }
 }
 
-void RiffleScheduler::begin_tick(Tick tick) {
-  if (tick <= built_tick_) {
-    // Non-monotone drive (a fresh lockstep replay): rewind and replay the
-    // cursor — segments_ is immutable, so this is exact.
-    next_segment_ = 0;
-    active_.clear();
-  }
+bool RiffleScheduler::begin_tick(Tick tick) {
+  // Ticks strictly increase (scheduler.h), so the cursor only moves forward.
   while (next_segment_ < segments_.size() && segments_[next_segment_].t0 < tick) {
     active_.push_back(segments_[next_segment_++]);
   }
@@ -103,6 +98,7 @@ void RiffleScheduler::begin_tick(Tick tick) {
   std::sort(tick_buf_.begin(), tick_buf_.end(),
             [](const Transfer& a, const Transfer& b) { return a.from < b.from; });
   built_tick_ = tick;
+  return true;
 }
 
 void RiffleScheduler::generate(Tick tick, std::uint32_t /*shard*/, NodeId first,

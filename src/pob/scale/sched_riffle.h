@@ -29,9 +29,9 @@
 // merge admits every intent verbatim.
 //
 // begin_tick materializes the tick's transfers once, serially, sorted by
-// sender (each node sends at most once per tick); generate() binary-searches
-// the sender slice, keeping the sharded phase-1 contract bit-identical at
-// any job count.
+// sender (each node sends at most once per tick), and says so, so the engine
+// runs generate() inline; generate() binary-searches the sender slice,
+// keeping the sharded phase-1 contract bit-identical at any job count.
 
 #pragma once
 
@@ -47,7 +47,7 @@ class RiffleScheduler final : public ScaleScheduler {
  public:
   explicit RiffleScheduler(const Engine& engine);
 
-  void begin_tick(Tick tick) override;
+  bool begin_tick(Tick tick) override;
   void generate(Tick tick, std::uint32_t shard, NodeId first, NodeId last,
                 std::vector<Transfer>& out) override;
 

@@ -6,7 +6,14 @@
 //   * begin_tick(t) runs serially, once, before any generate() call of tick
 //     t — the place to materialize per-tick state (the riffle scheduler
 //     builds its active-meeting buffer here). It must be a pure function of
-//     (engine state, tick), never of the job count.
+//     (engine state, tick), never of the job count. Ticks strictly increase
+//     from 1 (the engine rejects anything else), so a cursor over the
+//     schedule never needs to rewind. It returns true iff it materialized
+//     the whole tick, so that generate() only copies a slice of a ready
+//     buffer: the engine then runs the generate calls inline on the calling
+//     thread, because waking the pool for trivial slices costs more than
+//     the slices do. The answer changes only where the work runs, never an
+//     intent.
 //   * generate(t, shard, first, last, out) appends every intent of tick t
 //     whose SENDER lies in [first, last), in ascending sender order, to
 //     `out`. Calls for different shards may run concurrently on the thread
@@ -69,8 +76,10 @@ class ScaleScheduler {
  public:
   virtual ~ScaleScheduler() = default;
 
-  /// Serial per-tick hook; see the contract above. Default: nothing.
-  virtual void begin_tick(Tick /*tick*/) {}
+  /// Serial per-tick hook; see the contract above. Returns true iff the
+  /// tick is now materialized. Default: nothing to do, generate() does the
+  /// work.
+  virtual bool begin_tick(Tick /*tick*/) { return false; }
 
   /// Appends tick `tick`'s intents with sender in [first, last) to `out`,
   /// ascending by sender. `shard` is the intent-shard index (shard-owned

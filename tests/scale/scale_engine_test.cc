@@ -17,6 +17,7 @@
 #include "pob/check/oracle.h"
 #include "pob/overlay/builders.h"
 #include "pob/scale/mirror.h"
+#include "pob/sched/pipeline.h"
 
 namespace pob::scale {
 namespace {
@@ -377,6 +378,57 @@ TEST(ScaleEngine, ResultIndependentOfJobCount) {
   EXPECT_EQ(run_at(5), serial);
 }
 
+TEST(ScaleEngine, MixedDownloadCapsAdmissionMatchesMirroredCore) {
+  // Capped and unlimited receivers in one engine. Rarest-first steers
+  // several senders at the same rare block, so receivers see repeated
+  // intents per tick: a repeat of the first admitted block must be refused,
+  // a second distinct block must be admitted (seeding the dedup table with
+  // the first), and cap-1 receivers must refuse both. n = 3000 puts the
+  // early ticks on the serial sparse merge (<= 2048 intents) and the
+  // midgame on the receiver-sharded one; the mirror validates every tick
+  // against core and the oracle, and the digest pins the stream at any job
+  // count.
+  constexpr std::uint32_t n = 3000;
+  EngineConfig cfg;
+  cfg.num_nodes = n;
+  cfg.num_blocks = 48;
+  cfg.server_upload_capacity = 6;
+  cfg.upload_capacities.assign(n, 1);
+  cfg.upload_capacities[0] = 6;
+  cfg.download_capacities.resize(n);
+  Rng caps(41);
+  const std::uint32_t choices[] = {1, 2, 3, kUnlimited};
+  for (std::uint32_t& d : cfg.download_capacities) d = choices[caps.below(4)];
+  ScaleOptions opt;
+  opt.policy = BlockPolicy::kRarestFirst;
+  opt.shard_nodes = 211;
+  const auto topo = regular_topo(n, 12, 41);
+  expect_matches_mirrored_core(cfg, topo, opt, 41);
+
+  cfg.record_trace = true;
+  const auto run_at = [&](unsigned jobs) {
+    Engine engine(cfg, topo, opt, 41);
+    return engine.run(jobs);
+  };
+  const RunResult r = run_at(1);
+  ASSERT_TRUE(r.completed);
+  std::uint64_t sparse_ticks = 0, sharded_ticks = 0, multi_receivers = 0;
+  std::vector<std::uint32_t> got(n, 0);
+  for (const std::vector<Transfer>& tick : r.trace) {
+    (tick.size() > 2048 ? sharded_ticks : sparse_ticks) += 1;
+    for (const Transfer& tr : tick) {
+      if (++got[tr.to] == 2) ++multi_receivers;
+    }
+    for (const Transfer& tr : tick) got[tr.to] = 0;
+  }
+  EXPECT_GT(sparse_ticks, 1u);
+  EXPECT_GT(sharded_ticks, 0u);
+  EXPECT_GT(multi_receivers, 0u);  // second admissions happened
+  const std::uint64_t digest = run_result_digest(r);
+  EXPECT_EQ(run_result_digest(run_at(4)), digest);
+  EXPECT_EQ(digest, 0xa2a6eb280adef900ULL);
+}
+
 TEST(ScaleEngine, CompleteTopologyMatchesExplicitCsr) {
   // The arithmetic complete() fast path and a materialized complete graph
   // must be indistinguishable to the planner.
@@ -516,6 +568,36 @@ TEST(ScaleEngine, RunRefusesLockstepEngines) {
   EXPECT_THROW(engine.run(1), std::logic_error);
 }
 
+TEST(ScaleEngine, PlanRejectsNonIncreasingTicks) {
+  // Merge admission reads down_stamp_[v] != tick as "v's first intent this
+  // tick", which only holds while planned ticks strictly increase from 1.
+  EngineConfig cfg;
+  cfg.num_nodes = 8;
+  cfg.num_blocks = 4;
+  Engine engine(cfg, complete_topo(8), {}, 1);
+  std::vector<Transfer> planned;
+  EXPECT_THROW(engine.plan(0, planned), std::logic_error);
+  engine.plan(2, planned);
+  EXPECT_THROW(engine.plan(2, planned), std::logic_error);
+  EXPECT_THROW(engine.plan(1, planned), std::logic_error);
+  engine.plan(3, planned);
+}
+
+TEST(ScaleEngine, RejectsZeroClientDownloadCapacityLikeCore) {
+  // A client with u = d = 0 passes d >= u, but admission takes a first
+  // intent without reading the cap, so both engines reject d = 0 outright.
+  EngineConfig cfg;
+  cfg.num_nodes = 6;
+  cfg.num_blocks = 4;
+  cfg.upload_capacities.assign(6, 1);
+  cfg.download_capacities.assign(6, 2);
+  cfg.upload_capacities[4] = 0;
+  cfg.download_capacities[4] = 0;
+  EXPECT_THROW(Engine(cfg, complete_topo(6), {}, 1), EngineViolation);
+  PipelineScheduler chain(6, 4);
+  EXPECT_THROW(pob::run(cfg, chain), EngineViolation);
+}
+
 TEST(ScaleEngine, LockstepPlanApplyRoundTrip) {
   EngineConfig cfg;
   cfg.num_nodes = 6;
@@ -554,15 +636,15 @@ TEST(ScaleEngine, StateBytesCountsTickScratchAndLedger) {
   Engine engine(cfg, complete_topo(64), opt, 9);
 
   // The construction-time figure must cover at least the possession arena
-  // and its chunk summaries, the per-node arrays (seven uint32-sized —
+  // and its chunk summaries, the per-node arrays (eight uint32-sized —
   // counts (which double as possession versions), completion ticks,
-  // capacities, download bookkeeping and sated stamps — one uint64 Count,
-  // one byte), the per-block
-  // frequency table, and the generate-phase scratch the constructor sizes
-  // up front: per intent shard, a full-stride diff recording (word index +
-  // word + popcount per entry) and a probe cache of at least 2x shard_nodes
-  // 16-byte entries. Any future scratch must only push the real figure
-  // further above this floor.
+  // capacities, the three merge admission stamps (download count, tick,
+  // first block) and sated stamps — one uint64 Count, one byte), the
+  // per-block frequency table, and the generate-phase scratch the
+  // constructor sizes up front: per intent shard, a full-stride diff
+  // recording (word index + word + popcount per entry) and a probe cache of
+  // at least 2x shard_nodes 16-byte entries. Any future scratch must only
+  // push the real figure further above this floor.
   const std::uint64_t fresh = engine.state_bytes();
   const std::uint64_t stride = (40 + 63) / 64;
   const std::uint64_t sum_stride = (stride + 63) / 64;
@@ -570,7 +652,7 @@ TEST(ScaleEngine, StateBytesCountsTickScratchAndLedger) {
   const std::uint64_t floor =
       64 * stride * sizeof(std::uint64_t) +
       2 * 64 * sum_stride * sizeof(std::uint64_t) +  // has + missing summaries
-      64 * (7 * sizeof(std::uint32_t) + sizeof(Count) + 1) +
+      64 * (8 * sizeof(std::uint32_t) + sizeof(Count) + 1) +
       40 * sizeof(std::uint32_t) +
       shards * stride *
           (sizeof(std::uint64_t) + 2 * sizeof(std::uint32_t)) +  // diff scans
