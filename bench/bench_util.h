@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "pob/check/oracle.h"
 #include "pob/core/engine.h"
 #include "pob/exp/cli.h"
 #include "pob/exp/parallel.h"
@@ -23,6 +24,7 @@
 #include "pob/overlay/builders.h"
 #include "pob/overlay/overlay.h"
 #include "pob/rand/randomized.h"
+#include "pob/scale/engine.h"
 
 #if __has_include(<sys/resource.h>)
 #include <sys/resource.h>
@@ -210,6 +212,102 @@ inline std::size_t sweep_baseline_index(const std::vector<unsigned>& jobs) {
     if (jobs[i] == 1) return i;
   }
   return 0;
+}
+
+/// One point of a throughput bench's jobs sweep: a fresh engine for the
+/// spec's run 0 on `jobs` workers.
+struct SweepPoint {
+  unsigned jobs = 1;
+  RunResult result;
+  double build_seconds = 0.0;
+  double run_seconds = 0.0;
+  double node_ticks_per_sec = 0.0;
+  double transfers_per_sec = 0.0;
+  scale::PhaseTimings phases;
+  std::uint64_t state_bytes = 0;
+  std::uint64_t digest = 0;
+};
+
+/// Runs one engine from `make()` (a unique_ptr to a scale::Engine or a
+/// StreamEngine over n nodes) per job count. Construction is timed apart
+/// from the run: a fixed cost the throughput numbers should not absorb.
+template <typename Make>
+std::vector<SweepPoint> run_sweep(const std::vector<unsigned>& sweep, std::uint32_t n,
+                                  Make make) {
+  const auto since = [](std::chrono::steady_clock::time_point t) {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() - t).count();
+  };
+  std::vector<SweepPoint> points;
+  for (const unsigned jobs : sweep) {
+    SweepPoint p;
+    const auto tb = std::chrono::steady_clock::now();
+    const auto engine = make();
+    p.build_seconds = since(tb);
+    p.jobs = jobs == 0 ? default_jobs() : jobs;
+    p.state_bytes = engine->state_bytes();
+    const auto t1 = std::chrono::steady_clock::now();
+    p.result = engine->run(jobs);
+    p.run_seconds = since(t1);
+    if constexpr (requires { engine->phase_timings(); }) p.phases = engine->phase_timings();
+    p.digest = check::run_result_digest(p.result);
+    if (p.run_seconds > 0.0) {
+      const std::uint64_t node_ticks = std::uint64_t{n} * p.result.ticks_executed;
+      p.node_ticks_per_sec = static_cast<double>(node_ticks) / p.run_seconds;
+      p.transfers_per_sec = static_cast<double>(p.result.total_transfers) / p.run_seconds;
+    }
+    points.push_back(std::move(p));
+  }
+  return points;
+}
+
+/// Wall-clock speedup of `p` over `baseline`; 0 when either took no time.
+inline double speedup(const SweepPoint& baseline, const SweepPoint& p) {
+  return baseline.run_seconds > 0.0 && p.run_seconds > 0.0
+             ? baseline.run_seconds / p.run_seconds
+             : 0.0;
+}
+
+/// Prints `# digest <hex>` when every sweep point agrees, one line per job
+/// count when not; returns whether they agree.
+inline bool print_digests(const std::vector<SweepPoint>& points) {
+  const bool agree = std::all_of(points.begin(), points.end(), [&](const SweepPoint& p) {
+    return p.digest == points.front().digest;
+  });
+  if (agree) {
+    std::cout << "# digest " << std::hex << points.front().digest << std::dec << "\n";
+    return true;
+  }
+  for (const SweepPoint& p : points) {
+    std::cout << "# digest " << std::hex << p.digest << std::dec << " (jobs=" << p.jobs
+              << ")\n";
+  }
+  return false;
+}
+
+/// A multi-point sweep's trajectory, one flat field group per job count so
+/// the JSON scraper stays trivial: *_j<jobs> suffixes, speedup vs
+/// `baseline` (the serial point, or the first one when jobs=1 was clamped
+/// or deduped away — speedup_baseline_jobs records which).
+inline void add_sweep_fields(JsonReport& json, const std::vector<SweepPoint>& points,
+                             const SweepPoint& baseline, bool phases) {
+  if (points.size() < 2) return;
+  std::string jobs_list;
+  for (const SweepPoint& p : points) {
+    jobs_list += (jobs_list.empty() ? "" : ",") + std::to_string(p.jobs);
+  }
+  json.str("jobs_sweep", jobs_list).count("speedup_baseline_jobs", baseline.jobs);
+  for (const SweepPoint& p : points) {
+    const std::string j = "_j" + std::to_string(p.jobs);
+    json.num("run_seconds" + j, p.run_seconds)
+        .num("node_ticks_per_sec" + j, p.node_ticks_per_sec)
+        .num("speedup" + j, speedup(baseline, p));
+    if (phases) {
+      json.num("phase_generate_seconds" + j, p.phases.generate_seconds)
+          .num("phase_merge_seconds" + j, p.phases.merge_seconds)
+          .num("phase_apply_seconds" + j, p.phases.apply_seconds);
+    }
+    json.count("digest" + j, p.digest);
+  }
 }
 
 /// A randomized-cooperative trial on a fixed overlay.

@@ -146,20 +146,10 @@ std::string render_corpus_entry(const CorpusEntry& entry) {
     cfg = spec.config;
     scale::stream::StreamEngine engine(std::move(spec));
     result = engine.run(1);
-    TraceEvents events;
-    const std::vector<Tick>& arrival = engine.arrivals();
-    for (NodeId c = 0; c < arrival.size(); ++c) {
-      if (arrival[c] >= 1) events.arrivals.emplace_back(arrival[c], c);
-    }
-    for (const scale::stream::StreamEvent& ev : engine.plan().events) {
-      if (ev.kind == scale::stream::EventKind::kRate) {
-        events.rate_changes.push_back({ev.time, ev.node, ev.up, ev.down});
-      }
-    }
     std::ostringstream os;
     os << "# golden trace: " << sc.describe() << "\n";
     os << "# regenerate with: pobfuzz --write-corpus=tests/check/corpus\n";
-    write_trace(os, cfg, result, events);
+    write_trace(os, cfg, result, engine.trace_events());
     return os.str();
   }
   if (sc.engine == EngineKind::kScale) {

@@ -94,17 +94,6 @@ const char* to_string(SchedulerKind kind) {
   return "?";
 }
 
-const char* to_string(OverlayKind kind) {
-  switch (kind) {
-    case OverlayKind::kComplete: return "complete";
-    case OverlayKind::kRegular: return "regular";
-    case OverlayKind::kHypercube: return "hypercube";
-    case OverlayKind::kRing: return "ring";
-    case OverlayKind::kKaryTree: return "karytree";
-  }
-  return "?";
-}
-
 const char* to_string(EngineKind kind) {
   switch (kind) {
     case EngineKind::kCore: return "core";
@@ -637,25 +626,7 @@ BuiltScenario build_scenario(const Scenario& sc) {
 
   if (is_randomized_family(sc.scheduler) && sc.scheduler != SchedulerKind::kRotating) {
     Rng overlay_rng = rng.split(0);
-    switch (sc.overlay) {
-      case OverlayKind::kComplete:
-        built.overlay = std::make_shared<CompleteOverlay>(sc.n);
-        break;
-      case OverlayKind::kRegular:
-        built.overlay = std::make_shared<GraphOverlay>(
-            make_random_regular(sc.n, sc.degree, overlay_rng));
-        break;
-      case OverlayKind::kHypercube:
-        built.overlay = std::make_shared<GraphOverlay>(make_hypercube_overlay(sc.n));
-        break;
-      case OverlayKind::kRing:
-        built.overlay = std::make_shared<GraphOverlay>(make_ring(sc.n));
-        break;
-      case OverlayKind::kKaryTree:
-        built.overlay =
-            std::make_shared<GraphOverlay>(make_kary_tree(sc.n, sc.arity));
-        break;
-    }
+    built.overlay = make_overlay(sc.overlay, sc.n, sc.degree, sc.arity, overlay_rng);
   }
 
   RandomizedOptions opt;
@@ -715,29 +686,12 @@ BuiltScenario build_scenario(const Scenario& sc) {
   return built;
 }
 
-/// Mirrors build_scenario's overlay switch (same seed-derived rng stream)
-/// but produces the CSR form the scale engine consumes. The complete graph
-/// never materializes — that is the point at mega-swarm sizes.
+/// The CSR form of build_scenario's overlay (same seed-derived rng stream).
+/// The complete graph never materializes — that is the point at mega-swarm
+/// sizes.
 std::shared_ptr<const scale::Topology> make_scale_topology(const Scenario& sc) {
-  Rng rng(sc.seed);
-  Rng overlay_rng = rng.split(0);
-  switch (sc.overlay) {
-    case OverlayKind::kComplete:
-      return std::make_shared<scale::Topology>(scale::Topology::complete(sc.n));
-    case OverlayKind::kRegular:
-      return std::make_shared<scale::Topology>(scale::Topology::from_graph(
-          make_random_regular(sc.n, sc.degree, overlay_rng)));
-    case OverlayKind::kHypercube:
-      return std::make_shared<scale::Topology>(
-          scale::Topology::from_graph(make_hypercube_overlay(sc.n)));
-    case OverlayKind::kRing:
-      return std::make_shared<scale::Topology>(
-          scale::Topology::from_graph(make_ring(sc.n)));
-    case OverlayKind::kKaryTree:
-      return std::make_shared<scale::Topology>(
-          scale::Topology::from_graph(make_kary_tree(sc.n, sc.arity)));
-  }
-  return nullptr;  // unreachable
+  Rng overlay_rng = Rng(sc.seed).split(0);
+  return scale::make_topology(sc.overlay, sc.n, sc.degree, sc.arity, overlay_rng);
 }
 
 scale::ScaleOptions make_scale_options(const Scenario& sc) {

@@ -16,6 +16,7 @@
 #include "pob/check/oracle.h"
 #include "pob/core/engine.h"
 #include "pob/core/scheduler.h"
+#include "pob/overlay/builders.h"
 #include "pob/overlay/overlay.h"
 #include "pob/scale/engine.h"
 #include "pob/scale/stream/stream_engine.h"
@@ -36,8 +37,6 @@ enum class SchedulerKind : std::uint8_t {
   kTitForTat,
 };
 
-enum class OverlayKind : std::uint8_t { kComplete, kRegular, kHypercube, kRing, kKaryTree };
-
 enum class FaultKind : std::uint8_t {
   kNone,
   /// Off-by-one forwarding: after the first planned transfer s -> r, append
@@ -57,7 +56,6 @@ enum class FaultKind : std::uint8_t {
 enum class EngineKind : std::uint8_t { kCore, kScale };
 
 const char* to_string(SchedulerKind kind);
-const char* to_string(OverlayKind kind);
 const char* to_string(EngineKind kind);
 
 struct Scenario {
@@ -125,12 +123,12 @@ struct BuiltScenario {
 BuiltScenario build_scenario(const Scenario& sc);
 
 /// Scale-engine builders for a kScale scenario, shared between the fuzzer
-/// runner and the golden-corpus renderer: the CSR topology (mirroring
-/// build_scenario's overlay switch on the same seed-derived rng stream) and
-/// the ScaleOptions — including the SchedKind mapping: kBinomialPipeline →
-/// binomial-pipeline, kBinomialPipeline + CyclicBarter → triangular-barter,
-/// kRiffle → riffle-pipeline, anything else → randomized (credit-limited
-/// when the mechanism is CreditLimited).
+/// runner and the golden-corpus renderer: the CSR topology (the same
+/// make_overlay_graph draw build_scenario makes, on the same seed-derived
+/// rng stream) and the ScaleOptions — including the SchedKind mapping:
+/// kBinomialPipeline → binomial-pipeline, kBinomialPipeline + CyclicBarter
+/// → triangular-barter, kRiffle → riffle-pipeline, anything else →
+/// randomized (credit-limited when the mechanism is CreditLimited).
 std::shared_ptr<const scale::Topology> make_scale_topology(const Scenario& sc);
 scale::ScaleOptions make_scale_options(const Scenario& sc);
 

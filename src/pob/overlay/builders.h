@@ -9,11 +9,14 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <vector>
 
 #include "pob/core/rng.h"
 #include "pob/core/types.h"
 #include "pob/overlay/graph.h"
+#include "pob/overlay/overlay.h"
 
 namespace pob {
 
@@ -54,6 +57,24 @@ Graph make_ring(std::uint32_t n);
 /// Complete k-ary tree rooted at node 0 in level order: children of x are
 /// k*x+1 ... k*x+k (when < n).
 Graph make_kary_tree(std::uint32_t n, std::uint32_t arity);
+
+/// The overlays a run can name: the complete graph plus the four explicit
+/// constructors above. to_string gives the --overlay spelling.
+enum class OverlayKind : std::uint8_t { kComplete, kRegular, kHypercube, kRing, kKaryTree };
+
+const char* to_string(OverlayKind kind);
+
+/// The one overlay switch: the graph of `kind` on n nodes, or nothing for
+/// kComplete, which both engines answer arithmetically. Only kRegular draws
+/// from `rng` (degree d); only kKaryTree reads `arity`.
+std::optional<Graph> make_overlay_graph(OverlayKind kind, std::uint32_t n,
+                                        std::uint32_t degree, std::uint32_t arity,
+                                        Rng& rng);
+
+/// make_overlay_graph wrapped for the core engine's randomized schedulers.
+std::shared_ptr<const Overlay> make_overlay(OverlayKind kind, std::uint32_t n,
+                                            std::uint32_t degree, std::uint32_t arity,
+                                            Rng& rng);
 
 /// floor(log2(x)) for x >= 1.
 std::uint32_t floor_log2(std::uint32_t x);

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "pob/exp/table.h"
+
 namespace pob::scale::stream {
 
 DemandTracker::DemandTracker(const StreamDemand& demand, std::uint32_t num_nodes,
@@ -143,6 +145,35 @@ std::uint64_t DemandTracker::memory_bytes() const {
   bytes += dl_block_.capacity() * sizeof(BlockId);
   bytes += deadlines_.memory_bytes();
   return bytes;
+}
+
+StartupStats startup_stats(const RunResult& result) {
+  StartupStats s;
+  std::vector<double> v;
+  for (const double lat : result.startup_latency) {
+    if (!std::isnan(lat)) v.push_back(lat);
+  }
+  s.started = v.size();
+  if (v.empty()) return s;
+  std::sort(v.begin(), v.end());
+  double sum = 0.0;
+  for (const double lat : v) sum += lat;
+  s.mean = sum / static_cast<double>(v.size());
+  s.p50 = v[v.size() / 2];
+  s.p95 = v[v.size() * 95 / 100];
+  s.max = v.back();
+  return s;
+}
+
+std::string describe_viewer_metrics(const RunResult& r) {
+  const StartupStats lat = startup_stats(r);
+  return "startup latency: " + std::to_string(lat.started) + " started / " +
+         std::to_string(r.never_started) + " censored, mean " + fmt(lat.mean, 2) +
+         " p50 " + fmt(lat.p50, 1) + " p95 " + fmt(lat.p95, 1) + " max " +
+         fmt(lat.max, 1) + "; rebuffer " + std::to_string(r.total_rebuffer_ticks()) +
+         " ticks over " + std::to_string(r.rebuffered_clients) + " clients; deadline misses " +
+         std::to_string(r.deadline_misses) + "/" + std::to_string(r.deadline_checks) + " (" +
+         fmt(r.deadline_miss_fraction(), 4) + ")";
 }
 
 }  // namespace pob::scale::stream

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <limits>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "pob/core/engine.h"
@@ -105,5 +106,18 @@ class DemandTracker {
   Count deadline_misses_ = 0;
   Count deadline_checks_ = 0;
 };
+
+/// The startup-latency distribution over the clients that started playback
+/// (the censored NaN entries are excluded; RunResult counts them apart).
+struct StartupStats {
+  std::uint64_t started = 0;
+  double mean = 0.0, p50 = 0.0, p95 = 0.0, max = 0.0;
+};
+
+StartupStats startup_stats(const RunResult& result);
+
+/// A stream run's viewer metrics on one line: the startup distribution,
+/// rebuffering and deadline misses.
+std::string describe_viewer_metrics(const RunResult& result);
 
 }  // namespace pob::scale::stream

@@ -129,4 +129,17 @@ std::uint64_t StreamEngine::state_bytes() const {
              sizeof(std::uint32_t);
 }
 
+TraceEvents StreamEngine::trace_events() const {
+  TraceEvents events;
+  for (NodeId c = 0; c < plan_.arrival.size(); ++c) {
+    if (plan_.arrival[c] >= 1) events.arrivals.emplace_back(plan_.arrival[c], c);
+  }
+  for (const StreamEvent& ev : plan_.events) {
+    if (ev.kind == EventKind::kRate) {
+      events.rate_changes.push_back({ev.time, ev.node, ev.up, ev.down});
+    }
+  }
+  return events;
+}
+
 }  // namespace pob::scale::stream

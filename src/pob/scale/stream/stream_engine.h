@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "pob/core/engine.h"
+#include "pob/exp/trace_io.h"
 #include "pob/scale/engine.h"
 #include "pob/scale/stream/calendar.h"
 #include "pob/scale/stream/demand.h"
@@ -55,6 +56,8 @@ class StreamEngine {
   /// Per-node arrival ticks (0 = present from the start).
   const std::vector<Tick>& arrivals() const { return plan_.arrival; }
   std::uint32_t pending_arrivals() const { return pending_arrivals_; }
+  /// The plan's late arrivals and rate changes, as a v3 trace preamble.
+  TraceEvents trace_events() const;
 
   /// Engine state + the event calendar + the demand tracker (possession
   /// fold, playback chains, deadline timers).

@@ -36,30 +36,12 @@ Topology Topology::from_graph(const Graph& graph) {
   return t;
 }
 
-Topology Topology::from_overlay(const Overlay& overlay) {
-  const std::uint32_t n = overlay.num_nodes();
-  if (n < 2) throw std::invalid_argument("Topology: need >= 2 nodes");
-  Topology t;
-  t.n_ = n;
-  t.offsets_.reset(static_cast<std::size_t>(n) + 1);
-  std::uint64_t total = 0;
-  for (NodeId u = 0; u < n; ++u) {
-    t.offsets_[u] = total;
-    total += overlay.degree(u);
-  }
-  t.offsets_[n] = total;
-  t.targets_.reset(total);
-  for (NodeId u = 0; u < n; ++u) {
-    const std::uint64_t offset = t.offsets_[u];
-    const std::uint32_t deg = overlay.degree(u);
-    for (std::uint32_t i = 0; i < deg; ++i) {
-      t.targets_[offset + i] = overlay.neighbor(u, i);
-    }
-    // Overlay promises stable-but-arbitrary ordering; the planner's contract
-    // is ascending ids, so normalize here.
-    std::sort(t.targets_.data() + offset, t.targets_.data() + offset + deg);
-  }
-  return t;
+std::shared_ptr<const Topology> make_topology(OverlayKind kind, std::uint32_t n,
+                                              std::uint32_t degree, std::uint32_t arity,
+                                              Rng& rng) {
+  const std::optional<Graph> graph = make_overlay_graph(kind, n, degree, arity, rng);
+  return std::make_shared<Topology>(graph ? Topology::from_graph(*graph)
+                                          : Topology::complete(n));
 }
 
 }  // namespace pob::scale

@@ -13,11 +13,13 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
+#include "pob/core/rng.h"
 #include "pob/core/types.h"
+#include "pob/overlay/builders.h"
 #include "pob/overlay/graph.h"
-#include "pob/overlay/overlay.h"
 #include "pob/scale/hugemem.h"
 
 namespace pob::scale {
@@ -29,11 +31,6 @@ class Topology {
 
   /// Copies a finalized Graph's adjacency into CSR form.
   static Topology from_graph(const Graph& graph);
-
-  /// Materializes any Overlay by querying degree()/neighbor() per node.
-  /// O(sum of degrees) — do not call on a large CompleteOverlay; use
-  /// complete() for that.
-  static Topology from_overlay(const Overlay& overlay);
 
   std::uint32_t num_nodes() const { return n_; }
 
@@ -73,5 +70,11 @@ class Topology {
   HugeBuffer<std::uint64_t> offsets_;  // n + 1 entries when !complete_
   HugeBuffer<NodeId> targets_;
 };
+
+/// make_overlay_graph wrapped for the scale engine: the CSR form of the
+/// same graph, or the arithmetic complete topology for kComplete.
+std::shared_ptr<const Topology> make_topology(OverlayKind kind, std::uint32_t n,
+                                              std::uint32_t degree, std::uint32_t arity,
+                                              Rng& rng);
 
 }  // namespace pob::scale

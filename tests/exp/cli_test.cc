@@ -57,6 +57,46 @@ TEST(Cli, IntListParsing) {
   EXPECT_EQ(args.get_int_list("none", {1, 2}), (std::vector<std::int64_t>{1, 2}));
 }
 
+TEST(Cli, RejectUnknownNamesTheFirstFlagNoGetterRead) {
+  const Args args = make_args({"prog", "--n=5", "--degre=4", "--json=x"});
+  EXPECT_EQ(args.get_int("n", 0), 5);
+  EXPECT_EQ(args.get_u32("degree", 20), 20u);  // the typo is not "degree"
+  try {
+    args.reject_unknown({"json"});
+    FAIL() << "--degre passed";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "unknown flag --degre");
+  }
+  EXPECT_EQ(args.get_int("degre", 0), 4);  // read now, so it is known
+  EXPECT_NO_THROW(args.reject_unknown({"json"}));
+  EXPECT_THROW(args.reject_unknown(), std::invalid_argument);  // --json unread
+}
+
+TEST(Cli, IntegerFlagsAreRangeCheckedNotWrapped) {
+  const Args args = make_args({"prog", "--degree=-1", "--big=4294967296",
+                               "--max=4294967295", "--junk=12abc", "--seed=-1"});
+  try {
+    args.get_u32("degree", 0);
+    FAIL() << "--degree=-1 wrapped";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--degree=-1"), std::string::npos);
+  }
+  EXPECT_THROW(args.get_u32("big", 0), std::invalid_argument);
+  EXPECT_EQ(args.get_u32("max", 0), 4294967295u);
+  EXPECT_THROW(args.get_int("junk", 0), std::invalid_argument);
+  EXPECT_THROW(args.get_u64("seed", 0), std::invalid_argument);
+  EXPECT_EQ(args.get_u32("absent", 7), 7u);
+}
+
+TEST(Cli, BoolFlags) {
+  const Args args = make_args({"prog", "--a", "--b=false", "--c=1", "--d=yes"});
+  EXPECT_TRUE(args.get_bool("a", false));
+  EXPECT_FALSE(args.get_bool("b", true));
+  EXPECT_TRUE(args.get_bool("c", false));
+  EXPECT_THROW(args.get_bool("d", false), std::invalid_argument);
+  EXPECT_TRUE(args.get_bool("absent", true));
+}
+
 TEST(Cli, RejectsPositionalArguments) {
   EXPECT_THROW(make_args({"prog", "oops"}), std::invalid_argument);
 }

@@ -1,0 +1,221 @@
+// RunSpec: the one flag parser, printer and builder set behind pobsim,
+// scale_throughput and stream_throughput. parse(to_flags(s)) == s over the
+// whole enum grid, the core and scale builders walk identical neighbour
+// lists, each driver's defaults are pinned, and the same swarm named through
+// pobsim's and scale_throughput's defaults gives one digest.
+
+#include "pob/scale/run_spec.h"
+
+#include <gtest/gtest.h>
+
+#include <sstream>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "pob/check/oracle.h"
+#include "pob/exp/parallel.h"
+
+namespace pob::scale {
+namespace {
+
+/// Parses a space-separated flag string the way a shell would split it.
+RunSpec parse(const std::string& flags, const RunSpec& defaults) {
+  std::vector<std::string> tokens{"prog"};
+  std::istringstream is(flags);
+  for (std::string t; is >> t;) tokens.push_back(t);
+  std::vector<const char*> argv;
+  for (const std::string& t : tokens) argv.push_back(t.c_str());
+  const Args args(static_cast<int>(argv.size()), argv.data());
+  const RunSpec spec = parse_run_spec(args, defaults);
+  args.reject_unknown();  // the parser reads its whole vocabulary
+  return spec;
+}
+
+std::string parse_error(const std::string& flags) {
+  try {
+    parse(flags, kPobsimDefaults);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(RunSpec, ParseOfToFlagsRoundTripsOverTheEnumGrid) {
+  std::uint32_t i = 0;
+  for (unsigned e = 0; e < 3; ++e) {
+    for (unsigned a = 0; a < 11; ++a) {
+      for (unsigned o = 0; o < 5; ++o) {
+        for (unsigned m = 0; m < 5; ++m) {
+          for (unsigned p = 0; p < 4; ++p, ++i) {
+            RunSpec s;
+            s.engine = static_cast<RunEngine>(e);
+            s.algo = static_cast<Algo>(a);
+            s.overlay = static_cast<OverlayKind>(o);
+            s.mechanism = static_cast<MechanismKind>(m);
+            s.arrivals = static_cast<stream::ArrivalPattern>(p);
+            // Vary the scalars that have a special spelling too.
+            s.download = i % 2 == 0 ? kUnlimited : 1 + i % 5;
+            s.leave_pct = (i % 7) * 12.5 + 0.1;
+            s.deadlines = i % 3 == 0;
+            s.policy = i % 2 == 0 ? BlockPolicy::kRandom : BlockPolicy::kRarestFirst;
+            s.seed = i % 4 == 0 ? ~std::uint64_t{0} : trial_seed(i, 0);
+            s.n = 2 + i;
+            ASSERT_EQ(parse(to_flags(s), RunSpec{}), s) << to_flags(s);
+            // Defaults do not leak into an explicit spec.
+            ASSERT_EQ(parse(to_flags(s), kStreamThroughputDefaults), s);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(RunSpec, CoreOverlayAndScaleTopologyWalkIdenticalNeighbourLists) {
+  for (const OverlayKind kind : {OverlayKind::kRegular, OverlayKind::kHypercube,
+                                 OverlayKind::kRing, OverlayKind::kKaryTree}) {
+    RunSpec s;
+    s.overlay = kind;
+    s.n = 200;
+    s.degree = 6;
+    s.arity = 3;
+    const std::uint64_t seed = run_seed(s, 0);
+    const std::shared_ptr<const Overlay> core = build_overlay(s, seed);
+    const std::shared_ptr<const Topology> topo = build_topology(s, seed);
+    ASSERT_EQ(core->num_nodes(), topo->num_nodes());
+    ASSERT_FALSE(topo->is_complete()) << to_string(kind);
+    for (NodeId u = 0; u < s.n; ++u) {
+      ASSERT_EQ(core->degree(u), topo->degree(u)) << to_string(kind) << " node " << u;
+      for (std::uint32_t j = 0; j < core->degree(u); ++j) {
+        ASSERT_EQ(core->neighbor(u, j), topo->neighbor(u, j)) << to_string(kind);
+      }
+    }
+  }
+  // A schedule that is not overlay-bound runs on the complete graph.
+  RunSpec riffle;
+  riffle.algo = Algo::kRiffle;
+  riffle.overlay = OverlayKind::kRegular;
+  EXPECT_TRUE(build_topology(riffle, run_seed(riffle, 0))->is_complete());
+}
+
+TEST(RunSpec, EachDriversDefaultSpecIsPinned) {
+  EXPECT_EQ(to_flags(kPobsimDefaults),
+            "--engine=core --algo=randomized --overlay=complete --mechanism=none "
+            "--arrivals=batch --policy=random --degree=20 --arity=2 --credit=1 "
+            "--cycle-len=4 --n=64 --k=32 --upload=1 --servers=0 --cap=0 --stall-window=0 "
+            "--stripes=4 --period=16 --probes=16 --gap16=16 --flash-start=8 "
+            "--flash-width=4 --flash-pct=90 --burst-size=64 --burst-period=4 --classes=0 "
+            "--churn=0 --horizon=64 --window=0 --startup=4 --interval=1 --slack=2 "
+            "--runs=1 --download=unlimited --leave-pct=0 --deadlines=false --seed=1");
+  EXPECT_EQ(to_flags(kScaleThroughputDefaults),
+            "--engine=scale --algo=randomized --overlay=regular --mechanism=none "
+            "--arrivals=batch --policy=random --degree=16 --arity=2 --credit=1 "
+            "--cycle-len=4 --n=1000000 --k=512 --upload=1 --servers=0 --cap=0 "
+            "--stall-window=0 --stripes=4 --period=16 --probes=16 --gap16=16 "
+            "--flash-start=8 --flash-width=4 --flash-pct=90 --burst-size=64 "
+            "--burst-period=4 --classes=0 --churn=0 --horizon=64 --window=0 --startup=4 "
+            "--interval=1 --slack=2 --runs=1 --download=unlimited --leave-pct=0 "
+            "--deadlines=false --seed=1");
+  EXPECT_EQ(to_flags(kStreamThroughputDefaults),
+            "--engine=stream --algo=randomized --overlay=regular --mechanism=none "
+            "--arrivals=flash --policy=random --degree=16 --arity=2 --credit=1 "
+            "--cycle-len=4 --n=1000000 --k=256 --upload=1 --servers=8 --cap=0 "
+            "--stall-window=0 --stripes=4 --period=16 --probes=16 --gap16=2 "
+            "--flash-start=8 --flash-width=16 --flash-pct=90 --burst-size=15626 "
+            "--burst-period=4 --classes=0 --churn=0 --horizon=64 --window=0 --startup=4 "
+            "--interval=1 --slack=2 --runs=1 --download=unlimited --leave-pct=0 "
+            "--deadlines=false --seed=1");
+  // No flags at all parse to the defaults.
+  EXPECT_EQ(parse("", kScaleThroughputDefaults), kScaleThroughputDefaults);
+}
+
+TEST(RunSpec, PobsimAndScaleThroughputBuildOneSwarmForOneSpec) {
+  // The 4096 x 32 random 16-regular swarm, named through each driver's
+  // defaults, is one swarm under the shared seed rule.
+  const RunSpec via_pobsim = parse(
+      "--engine=scale --algo=randomized --overlay=regular --degree=16 --n=4096 --k=32 "
+      "--seed=1",
+      kPobsimDefaults);
+  const RunSpec via_bench = parse("--n=4096 --k=32 --degree=16 --seed=1",
+                                  kScaleThroughputDefaults);
+  const auto digest = [](const RunSpec& s) {
+    const std::uint64_t seed = run_seed(s, 0);
+    Engine engine(build_config(s), build_topology(s, seed), build_scale_options(s), seed);
+    const RunResult r = engine.run(1);
+    EXPECT_TRUE(r.completed);
+    EXPECT_EQ(r.completion_tick, 61u);
+    return check::run_result_digest(r);
+  };
+  EXPECT_EQ(digest(via_pobsim), 0x44fd6612e8866639ULL);
+  EXPECT_EQ(digest(via_bench), 0x44fd6612e8866639ULL);
+}
+
+TEST(RunSpec, RejectsOutOfRangeIntegersByName) {
+  EXPECT_NE(parse_error("--degree=-1").find("--degree=-1"), std::string::npos);
+  EXPECT_NE(parse_error("--runs=-1").find("--runs"), std::string::npos);
+  EXPECT_NE(parse_error("--k=4294967296").find("--k"), std::string::npos);
+  EXPECT_NE(parse_error("--n=abc").find("--n=abc"), std::string::npos);
+  EXPECT_NE(parse_error("--seed=-3").find("--seed"), std::string::npos);
+  EXPECT_NE(parse_error("--n=1").find("--n"), std::string::npos);
+  EXPECT_NE(parse_error("--k=0").find("--k"), std::string::npos);
+  EXPECT_NE(parse_error("--runs=0").find("--runs"), std::string::npos);
+  EXPECT_NE(parse_error("--leave-pct=101").find("--leave-pct"), std::string::npos);
+  EXPECT_EQ(parse("--degree=4294967295", kPobsimDefaults).degree, 4294967295u);
+  EXPECT_EQ(parse("--seed=18446744073709551615", kPobsimDefaults).seed,
+            ~std::uint64_t{0});
+}
+
+TEST(RunSpec, RejectsUnknownValuesListingTheVocabulary) {
+  EXPECT_NE(parse_error("--algo=rifle").find("riffle"), std::string::npos);
+  EXPECT_NE(parse_error("--engine=gpu").find("core | scale | stream"), std::string::npos);
+  EXPECT_NE(parse_error("--arrivals=flash-crowd").find("batch | poisson | flash | burst"),
+            std::string::npos);
+  EXPECT_NE(parse_error("--deadlines=maybe").find("--deadlines"), std::string::npos);
+}
+
+TEST(RunSpec, BuildersRejectRunsTheirEngineCannotRepresent) {
+  RunSpec tree;
+  tree.algo = Algo::kTree;
+  EXPECT_THROW(build_scale_options(tree), std::invalid_argument);
+  RunSpec strict;
+  strict.mechanism = MechanismKind::kStrict;
+  EXPECT_THROW(build_scale_options(strict), std::invalid_argument);
+  RunSpec riffle_credit;
+  riffle_credit.algo = Algo::kRiffle;
+  riffle_credit.mechanism = MechanismKind::kCredit;
+  EXPECT_THROW(build_scale_options(riffle_credit), std::invalid_argument);
+  RunSpec randomized_triangular;
+  randomized_triangular.mechanism = MechanismKind::kTriangular;
+  EXPECT_THROW(build_scale_options(randomized_triangular), std::invalid_argument);
+  RunSpec binomial_stream;
+  binomial_stream.algo = Algo::kBinomialPipeline;
+  EXPECT_THROW(build_stream_spec(binomial_stream, 1), std::invalid_argument);
+}
+
+TEST(RunSpec, ConfigRulesForRiffleMultiServerCreditAndTriangular) {
+  RunSpec s;
+  s.algo = Algo::kRiffle;
+  EXPECT_EQ(build_config(s).download_capacity, 2u);  // Theorem 3's d = 2u
+  s.download = 3;
+  EXPECT_EQ(build_config(s).download_capacity, 3u);
+  s.algo = Algo::kMultiServer;
+  EXPECT_EQ(build_config(s).server_upload_capacity, 2u);
+  s.servers = 4;
+  EXPECT_EQ(build_config(s).server_upload_capacity, 4u);
+  s.algo = Algo::kRandomized;
+  EXPECT_EQ(build_scale_options(s).credit_limit, 0u);  // --credit alone is inert
+  s.mechanism = MechanismKind::kCredit;
+  EXPECT_EQ(build_scale_options(s).credit_limit, 1u);
+  s.mechanism = MechanismKind::kNone;
+  s.algo = Algo::kCreditRandomized;
+  s.credit = 3;
+  EXPECT_EQ(build_scale_options(s).credit_limit, 3u);
+  // §3.3's triangular barter: the binomial schedule under the live ledger.
+  s.algo = Algo::kBinomialPipeline;
+  s.mechanism = MechanismKind::kTriangular;
+  EXPECT_EQ(build_scale_options(s).scheduler, SchedKind::kTriangularBarter);
+  EXPECT_EQ(build_scale_options(s).credit_limit, 3u);
+}
+
+}  // namespace
+}  // namespace pob::scale

@@ -71,16 +71,19 @@ int write_corpus(const std::string& dir) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Args args(argc, argv);
   try {
+    const Args args(argc, argv);
     const std::string corpus_dir = args.get_string("write-corpus", "");
+    const std::uint64_t seed = args.get_u64("seed", 1);
+    const std::uint32_t budget = args.get_u32("budget", 1000);
+    const unsigned jobs = jobs_from_flag(args.get_int("jobs", 0));
+    const bool minimize_first = args.has("minimize");
+    const std::string broken = args.get_string("break", "");
+    const std::string engine = args.get_string("engine", "mixed");
+    args.reject_unknown();
     if (!corpus_dir.empty()) return write_corpus(corpus_dir);
 
-    const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-    const auto budget = static_cast<std::uint32_t>(args.get_int("budget", 1000));
-    const unsigned jobs = jobs_from_flag(args.get_int("jobs", 0));
     FaultKind fault = FaultKind::kNone;
-    const std::string broken = args.get_string("break", "");
     if (broken == "same-tick-forward") {
       fault = FaultKind::kSameTickForward;
     } else if (!broken.empty()) {
@@ -89,7 +92,6 @@ int main(int argc, char** argv) {
       return 2;
     }
     EngineFilter engines = EngineFilter::kMixed;
-    const std::string engine = args.get_string("engine", "mixed");
     if (engine == "core") {
       engines = EngineFilter::kCoreOnly;
     } else if (engine == "scale") {
@@ -122,7 +124,7 @@ int main(int argc, char** argv) {
                 << " more failures not shown)\n";
     }
 
-    if (report.failed != 0 && args.has("minimize")) {
+    if (report.failed != 0 && minimize_first) {
       const MinimizedScenario min = minimize(report.failures.front().scenario);
       std::cout << "\nminimized after " << min.steps_tried << " runs to: "
                 << min.scenario.describe() << "\n"
