@@ -9,12 +9,14 @@
 namespace pob::check {
 namespace {
 
-Scenario base(SchedulerKind kind, std::uint32_t n, std::uint32_t k) {
+using scale::Algo;
+
+Scenario base(Algo algo, std::uint32_t n, std::uint32_t k) {
   Scenario sc;
-  sc.scheduler = kind;
-  sc.n = n;
-  sc.k = k;
-  sc.seed = 0x9e3779b97f4a7c15ull;  // fixed: corpus runs must be reproducible
+  sc.spec.algo = algo;
+  sc.spec.n = n;
+  sc.spec.k = k;
+  sc.spec.seed = 0x9e3779b97f4a7c15ull;  // fixed: corpus runs must be reproducible
   return sc;
 }
 
@@ -25,37 +27,37 @@ std::vector<CorpusEntry> make_corpus() {
     corpus.push_back({std::move(filename), std::move(sc), completes});
   };
 
-  add("pipeline.pobtrace", base(SchedulerKind::kPipeline, 12, 9));
+  add("pipeline.pobtrace", base(Algo::kPipeline, 12, 9));
   {
-    Scenario sc = base(SchedulerKind::kMulticastTree, 14, 9);
-    sc.arity = 3;
+    Scenario sc = base(Algo::kTree, 14, 9);
+    sc.spec.arity = 3;
     add("multicast-tree.pobtrace", sc);
   }
-  add("binomial-tree.pobtrace", base(SchedulerKind::kBinomialTree, 19, 6));
-  add("binomial-pipeline.pobtrace", base(SchedulerKind::kBinomialPipeline, 16, 21));
+  add("binomial-tree.pobtrace", base(Algo::kBinomialTree, 19, 6));
+  add("binomial-pipeline.pobtrace", base(Algo::kBinomialPipeline, 16, 21));
   {
     // k = 3 * (n - 1): full riffle cycles, so the recorded schedule is also
     // legal under strict barter — the replay exercises the mechanism path.
-    Scenario sc = base(SchedulerKind::kRiffle, 11, 30);
-    sc.download = 2;
-    sc.mechanism.kind = MechanismSpec::Kind::kStrictBarter;
+    Scenario sc = base(Algo::kRiffle, 11, 30);
+    sc.spec.download = 2;
+    sc.spec.mechanism = scale::MechanismKind::kStrict;
     add("riffle.pobtrace", sc);
   }
   {
-    Scenario sc = base(SchedulerKind::kStripedTrees, 25, 24);
-    sc.stripes = 4;
-    sc.download = 4;
+    Scenario sc = base(Algo::kStripedTrees, 25, 24);
+    sc.spec.stripes = 4;
+    sc.spec.download = 4;
     add("striped-trees.pobtrace", sc);
   }
   {
-    Scenario sc = base(SchedulerKind::kMultiServer, 20, 16);
-    sc.servers = 4;
+    Scenario sc = base(Algo::kMultiServer, 20, 16);
+    sc.spec.servers = 4;
     add("multi-server.pobtrace", sc);
   }
-  add("randomized.pobtrace", base(SchedulerKind::kRandomized, 40, 30));
+  add("randomized.pobtrace", base(Algo::kRandomized, 40, 30));
   {
     // Heterogeneous capacities: exercises the v2 !up / !down directives.
-    Scenario sc = base(SchedulerKind::kRandomized, 10, 8);
+    Scenario sc = base(Algo::kRandomized, 10, 8);
     sc.upload_caps = {1, 2, 3, 1, 2, 1, 3, 1, 2, 1};
     sc.download_caps = {kUnlimited, 2, 3, kUnlimited, 2,
                         kUnlimited, 3, 2, kUnlimited, 2};
@@ -65,14 +67,14 @@ std::vector<CorpusEntry> make_corpus() {
     // Lossy churn against a rigid schedule: the pipeline keeps naming the
     // departed nodes, drop mode forgives, and the run honestly fails to
     // complete — exercising !depart/!drop and dropped_transfers accounting.
-    Scenario sc = base(SchedulerKind::kBinomialPipeline, 16, 21);
+    Scenario sc = base(Algo::kBinomialPipeline, 16, 21);
     sc.departures = {{6, 3}, {9, 10}};
     add("churn-binomial-pipeline.pobtrace", sc, /*completes=*/false);
   }
   {
     // Churn against an adaptive scheduler: the randomized swarm routes
     // around the departure and still completes.
-    Scenario sc = base(SchedulerKind::kRandomized, 18, 10);
+    Scenario sc = base(Algo::kRandomized, 18, 10);
     sc.departures = {{4, 2}};
     add("churn-randomized.pobtrace", sc);
   }
@@ -81,20 +83,20 @@ std::vector<CorpusEntry> make_corpus() {
     // each: binomial pipeline, the same schedule under the triangular
     // 3-cycle ledger, and the strict-barter riffle (k = 3(n - 1): full
     // cycles, so the trace replays clean under StrictBarter).
-    Scenario sc = base(SchedulerKind::kBinomialPipeline, 16, 12);
-    sc.engine = EngineKind::kScale;
+    Scenario sc = base(Algo::kBinomialPipeline, 16, 12);
+    sc.spec.engine = scale::RunEngine::kScale;
     add("scale-binomial-pipeline.pobtrace", sc);
   }
   {
-    Scenario sc = base(SchedulerKind::kBinomialPipeline, 16, 12);
-    sc.engine = EngineKind::kScale;
-    sc.mechanism.kind = MechanismSpec::Kind::kCyclicBarter;
+    Scenario sc = base(Algo::kBinomialPipeline, 16, 12);
+    sc.spec.engine = scale::RunEngine::kScale;
+    sc.spec.mechanism = scale::MechanismKind::kTriangular;
     add("scale-triangular-barter.pobtrace", sc);
   }
   {
-    Scenario sc = base(SchedulerKind::kRiffle, 8, 21);
-    sc.engine = EngineKind::kScale;
-    sc.download = 2;
+    Scenario sc = base(Algo::kRiffle, 8, 21);
+    sc.spec.engine = scale::RunEngine::kScale;
+    sc.spec.download = 2;
     add("scale-riffle.pobtrace", sc);
   }
   {
@@ -102,22 +104,22 @@ std::vector<CorpusEntry> make_corpus() {
     // !arrive preamble. Uniform capacities and no rate classes, so the
     // core-engine replay (which ignores arrivals — every node present from
     // the start only has more freedom) stays legal.
-    Scenario sc = base(SchedulerKind::kRandomized, 24, 10);
-    sc.stream = true;
-    sc.arrival_pattern = scale::stream::ArrivalPattern::kFlashCrowd;
-    sc.startup_blocks = 2;
+    Scenario sc = base(Algo::kRandomized, 24, 10);
+    sc.spec.engine = scale::RunEngine::kStream;
+    sc.spec.arrivals = scale::stream::ArrivalPattern::kFlashCrowd;
+    sc.spec.startup = 2;
     add("stream-flash-crowd.pobtrace", sc);
   }
   {
     // Stream layer, VoD shape: Poisson trickle arrivals with in-order
     // sequential demand through a sliding playback window and hard
     // per-block deadlines (deadlines shape the metrics, not the schedule).
-    Scenario sc = base(SchedulerKind::kRandomized, 20, 12);
-    sc.stream = true;
-    sc.arrival_pattern = scale::stream::ArrivalPattern::kPoisson;
-    sc.playback_window = 4;
-    sc.startup_blocks = 3;
-    sc.hard_deadlines = true;
+    Scenario sc = base(Algo::kRandomized, 20, 12);
+    sc.spec.engine = scale::RunEngine::kStream;
+    sc.spec.arrivals = scale::stream::ArrivalPattern::kPoisson;
+    sc.spec.window = 4;
+    sc.spec.startup = 3;
+    sc.spec.deadlines = true;
     add("stream-vod-window.pobtrace", sc);
   }
   return corpus;
@@ -140,35 +142,30 @@ std::string render_corpus_entry(const CorpusEntry& entry) {
   const Scenario& sc = entry.scenario;
   EngineConfig cfg;
   RunResult result;
-  if (sc.stream) {
-    scale::stream::StreamSpec spec = make_stream_spec(sc);
-    spec.config.record_trace = true;
-    cfg = spec.config;
-    scale::stream::StreamEngine engine(std::move(spec));
-    result = engine.run(1);
-    std::ostringstream os;
-    os << "# golden trace: " << sc.describe() << "\n";
-    os << "# regenerate with: pobfuzz --write-corpus=tests/check/corpus\n";
-    write_trace(os, cfg, result, engine.trace_events());
-    return os.str();
-  }
-  if (sc.engine == EngineKind::kScale) {
-    cfg = sc.to_config();
-    cfg.record_trace = true;
-    scale::Engine engine(cfg, make_scale_topology(sc), make_scale_options(sc),
-                         sc.seed);
-    result = engine.run(1);
-  } else {
+  TraceEvents events;
+  if (sc.spec.engine == scale::RunEngine::kCore) {
     BuiltScenario built = build_scenario(sc);
     cfg = built.config;
     cfg.record_trace = true;
     SwarmState state(cfg.num_nodes, cfg.num_blocks);
-    result = run_with_state(cfg, *built.scheduler, built.mechanism.get(), state);
+    result = run_with_state(cfg, *built.run.scheduler, built.run.mechanism.get(), state);
+  } else {
+    scale::stream::StreamSpec spec = build_scale_scenario(sc);
+    spec.config.record_trace = true;
+    cfg = spec.config;
+    if (sc.spec.engine == scale::RunEngine::kStream) {
+      scale::stream::StreamEngine engine(std::move(spec));
+      result = engine.run(1);
+      events = engine.trace_events();
+    } else {
+      scale::Engine engine(cfg, spec.topology, spec.options, spec.seed);
+      result = engine.run(1);
+    }
   }
   std::ostringstream os;
   os << "# golden trace: " << sc.describe() << "\n";
   os << "# regenerate with: pobfuzz --write-corpus=tests/check/corpus\n";
-  write_trace(os, cfg, result);
+  write_trace(os, cfg, result, events);
   return os.str();
 }
 

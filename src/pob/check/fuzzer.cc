@@ -21,7 +21,7 @@ std::uint64_t fnv1a(std::uint64_t h, const std::string& s) {
 }  // namespace
 
 FuzzReport fuzz_many(std::uint64_t base_seed, std::uint32_t budget, unsigned jobs,
-                     FaultKind fault, EngineFilter engines) {
+                     FaultKind fault, std::optional<scale::RunEngine> engine) {
   FuzzReport report;
   report.budget = budget;
   if (budget == 0) return report;
@@ -34,26 +34,26 @@ FuzzReport fuzz_many(std::uint64_t base_seed, std::uint32_t budget, unsigned job
   const auto trial = [&](std::uint32_t i) {
     Scenario sc = sample_scenario(base_seed, i);
     sc.fault = fault;
-    if (engines != EngineFilter::kMixed) {
-      sc.engine = engines == EngineFilter::kCoreOnly ? EngineKind::kCore
-                                                     : EngineKind::kScale;
-      if (engines == EngineFilter::kStreamOnly && !sc.stream) {
+    if (engine) {
+      scale::RunSpec& s = sc.spec;
+      if (*engine == scale::RunEngine::kStream && s.engine != *engine) {
         // The sampler did not take the stream branch for this index, so its
-        // stream fields are still defaults; derive them from the scenario
-        // seed so a forced stream run sweeps the pattern space too.
-        sc.arrival_pattern =
-            static_cast<scale::stream::ArrivalPattern>(sc.seed % 4);
-        sc.rate_class_count =
-            (sc.seed >> 2) % 2 == 0 ? 0 : 2 + static_cast<std::uint32_t>((sc.seed >> 3) % 2);
-        sc.rate_changes = static_cast<std::uint32_t>((sc.seed >> 5) % 9);
-        sc.playback_window =
-            (sc.seed >> 8) % 2 == 0 ? 0 : 1 + static_cast<std::uint32_t>((sc.seed >> 9) % 8);
-        sc.startup_blocks = 1 + static_cast<std::uint32_t>((sc.seed >> 13) % 4);
-        sc.playback_interval = 1 + static_cast<Tick>((sc.seed >> 15) % 2);
-        sc.hard_deadlines = ((sc.seed >> 16) & 1) != 0;
+        // stream draws are still defaults; take them from the run seed so a
+        // forced stream run sweeps the pattern space too.
+        const std::uint64_t seed = s.seed;
+        s.arrivals = static_cast<scale::stream::ArrivalPattern>(seed % 4);
+        s.classes =
+            (seed >> 2) % 2 == 0 ? 0 : 2 + static_cast<std::uint32_t>((seed >> 3) % 2);
+        s.churn = static_cast<std::uint32_t>((seed >> 5) % 9);
+        s.window =
+            (seed >> 8) % 2 == 0 ? 0 : 1 + static_cast<std::uint32_t>((seed >> 9) % 8);
+        s.startup = 1 + static_cast<std::uint32_t>((seed >> 13) % 4);
+        s.interval = 1 + static_cast<Tick>((seed >> 15) % 2);
+        s.deadlines = ((seed >> 16) & 1) != 0;
       }
-      sc.stream = engines == EngineFilter::kStreamOnly;
-      if (sc.stream && sc.n > 512) sc.n = 4 + sc.n % 509;  // mirror-affordable
+      s.engine = *engine;
+      // Mirror-affordable.
+      if (s.engine == scale::RunEngine::kStream && s.n > 512) s.n = 4 + s.n % 509;
       sanitize(sc);  // the forced engine has its own legal space
     }
     scenarios[i] = sc;
@@ -129,81 +129,81 @@ MinimizedScenario minimize(const Scenario& failing) {
     // Stream axis: strip one feature at a time (deadlines, sequential
     // window, rate churn, classes, the arrival pattern) before trying to
     // leave the stream layer entirely.
-    if (m.scenario.stream) {
+    if (m.scenario.spec.engine == scale::RunEngine::kStream) {
       for (const auto mutate : {
-               +[](Scenario& c) { c.hard_deadlines = false; },
-               +[](Scenario& c) { c.playback_window = 0; },
-               +[](Scenario& c) { c.rate_changes = 0; },
-               +[](Scenario& c) { c.rate_class_count = 0; },
-               +[](Scenario& c) {
-                 c.arrival_pattern = scale::stream::ArrivalPattern::kAllAtStart;
+               +[](scale::RunSpec& c) { c.deadlines = false; },
+               +[](scale::RunSpec& c) { c.window = 0; },
+               +[](scale::RunSpec& c) { c.churn = 0; },
+               +[](scale::RunSpec& c) { c.classes = 0; },
+               +[](scale::RunSpec& c) {
+                 c.arrivals = scale::stream::ArrivalPattern::kAllAtStart;
                },
-               +[](Scenario& c) { c.stream = false; },
+               +[](scale::RunSpec& c) { c.engine = scale::RunEngine::kScale; },
            }) {
         Scenario c = m.scenario;
-        mutate(c);
+        mutate(c.spec);
         if (still_fails(c)) progress = true;
       }
     }
-    if (m.scenario.overlay != OverlayKind::kComplete) {
+    if (m.scenario.spec.overlay != OverlayKind::kComplete) {
       Scenario c = m.scenario;
-      c.overlay = OverlayKind::kComplete;
+      c.spec.overlay = OverlayKind::kComplete;
       if (still_fails(c)) progress = true;
     }
-    if (m.scenario.mechanism.kind != MechanismSpec::Kind::kNone) {
+    if (m.scenario.spec.mechanism != scale::MechanismKind::kNone) {
       Scenario c = m.scenario;
-      c.mechanism.kind = MechanismSpec::Kind::kNone;
-      if (still_fails(c)) progress = true;
-    }
-    {
-      Scenario c = m.scenario;
-      c.download = kUnlimited;
+      c.spec.mechanism = scale::MechanismKind::kNone;
       if (still_fails(c)) progress = true;
     }
     {
       Scenario c = m.scenario;
-      c.upload = 1;
-      c.server_upload = 0;
+      c.spec.download = kUnlimited;
+      if (still_fails(c)) progress = true;
+    }
+    {
+      Scenario c = m.scenario;
+      c.spec.upload = 1;
+      c.spec.servers = 0;
       if (still_fails(c)) progress = true;
     }
 
     // Numeric shrinks: halve toward the floor, then single steps.
-    while (m.scenario.n > 2) {
+    while (m.scenario.spec.n > 2) {
       Scenario c = m.scenario;
-      c.n = std::max(2u, c.n / 2);
+      c.spec.n = std::max(2u, c.spec.n / 2);
       if (!still_fails(c)) break;
       progress = true;
     }
-    while (m.scenario.n > 2) {
+    while (m.scenario.spec.n > 2) {
       Scenario c = m.scenario;
-      --c.n;
+      --c.spec.n;
       if (!still_fails(c)) break;
       progress = true;
     }
-    while (m.scenario.k > 1) {
+    while (m.scenario.spec.k > 1) {
       Scenario c = m.scenario;
-      c.k = std::max(1u, c.k / 2);
+      c.spec.k = std::max(1u, c.spec.k / 2);
       if (!still_fails(c)) break;
       progress = true;
     }
-    while (m.scenario.k > 1) {
+    while (m.scenario.spec.k > 1) {
       Scenario c = m.scenario;
-      --c.k;
+      --c.spec.k;
       if (!still_fails(c)) break;
       progress = true;
     }
-    for (auto dim : {&Scenario::arity, &Scenario::stripes, &Scenario::servers,
-                     &Scenario::degree}) {
-      while (m.scenario.*dim > 2) {
+    for (auto dim : {&scale::RunSpec::arity, &scale::RunSpec::stripes,
+                     &scale::RunSpec::servers, &scale::RunSpec::degree}) {
+      while (m.scenario.spec.*dim > 2) {
         Scenario c = m.scenario;
-        --(c.*dim);
+        --(c.spec.*dim);
         if (!still_fails(c)) break;
         progress = true;
       }
     }
-    while (m.scenario.period > 2) {
+    while (m.scenario.spec.period > 2) {
       Scenario c = m.scenario;
-      c.period /= 2;
+      c.spec.period /= 2;
       if (!still_fails(c)) break;
       progress = true;
     }

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -30,20 +31,18 @@ struct FuzzReport {
   std::vector<FuzzFailure> failures;  ///< capped at 32, lowest indices first
 };
 
-/// Which engines the sampled stream exercises: the sampler's natural mix
-/// (roughly 1 in 4 scenarios on the scale engine, a third of those on the
-/// stream layer), or every scenario forced onto one engine for targeted
-/// smoke runs. Forcing re-sanitizes, so a scenario sampled for one engine
-/// lands in the other's legal space. kStreamOnly forces the hybrid
-/// tick+event layer (arrivals, rate churn, playback demand) on every draw.
-enum class EngineFilter : std::uint8_t { kMixed, kCoreOnly, kScaleOnly, kStreamOnly };
-
 /// Runs `budget` scenarios sampled from `base_seed`. `fault` is injected
 /// into every scenario (kNone for a clean run). `jobs` as in
 /// repeat_trials_parallel: 0 = all cores, results independent of the value.
+/// `engine` unset keeps the sampler's natural mix (roughly 1 in 4 scenarios
+/// on the scale engine, a third of those on the stream layer); set, it
+/// forces every scenario onto that engine for targeted smoke runs. Forcing
+/// re-sanitizes, so a scenario sampled for one engine lands in the other's
+/// legal space; kStream forces the hybrid tick+event layer (arrivals, rate
+/// churn, playback demand) on every draw.
 FuzzReport fuzz_many(std::uint64_t base_seed, std::uint32_t budget, unsigned jobs,
                      FaultKind fault = FaultKind::kNone,
-                     EngineFilter engines = EngineFilter::kMixed);
+                     std::optional<scale::RunEngine> engine = std::nullopt);
 
 /// Greedily shrinks a failing scenario: tries halving/decrementing the node
 /// and block counts, dropping churn, heterogeneity, mechanisms, and overlay

@@ -7,24 +7,17 @@
 #include "pob/analysis/bounds.h"
 #include "pob/core/rng.h"
 #include "pob/exp/parallel.h"
-#include "pob/overlay/builders.h"
-#include "pob/rand/randomized.h"
-#include "pob/rand/rotation.h"
-#include "pob/rand/tit_for_tat.h"
-#include "pob/sched/binomial_pipeline.h"
-#include "pob/sched/binomial_tree.h"
-#include "pob/sched/multi_server.h"
-#include "pob/sched/multicast_tree.h"
-#include "pob/sched/pipeline.h"
 #include "pob/sched/riffle_pipeline.h"
-#include "pob/sched/striped_trees.h"
 #include "pob/check/stream_check.h"
 #include "pob/flow/certify.h"
-#include "pob/scale/engine.h"
 #include "pob/scale/mirror.h"
 
 namespace pob::check {
 namespace {
+
+using scale::Algo;
+using scale::MechanismKind;
+using scale::RunEngine;
 
 constexpr std::uint32_t kMaxNodes = 64;
 constexpr std::uint32_t kMaxBlocks = 48;
@@ -33,14 +26,30 @@ constexpr std::uint32_t kMaxBlocks = 48;
 /// oracle still replays these sizes in reasonable time.
 constexpr std::uint32_t kMaxScaleNodes = 4096;
 
-bool is_randomized_family(SchedulerKind kind) {
-  return kind == SchedulerKind::kRandomized || kind == SchedulerKind::kCreditRandomized ||
-         kind == SchedulerKind::kRotating || kind == SchedulerKind::kTitForTat;
+bool is_randomized_family(Algo algo) {
+  return algo == Algo::kRandomized || algo == Algo::kCreditRandomized ||
+         algo == Algo::kRotating || algo == Algo::kTitForTat;
 }
 
-bool may_have_churn(SchedulerKind kind) {
-  return is_randomized_family(kind) || kind == SchedulerKind::kPipeline ||
-         kind == SchedulerKind::kBinomialPipeline;
+bool may_have_churn(Algo algo) {
+  return is_randomized_family(algo) || algo == Algo::kPipeline ||
+         algo == Algo::kBinomialPipeline;
+}
+
+/// A run knob taken from the seed: lo + (seed >> shift) % span.
+std::uint32_t seed_knob(std::uint64_t seed, int shift, std::uint32_t lo, std::uint32_t span) {
+  return lo + static_cast<std::uint32_t>((seed >> shift) % span);
+}
+
+/// build_config(spec) plus the fuzz-only fields.
+EngineConfig scenario_config(const Scenario& sc) {
+  EngineConfig cfg = scale::build_config(sc.spec);
+  cfg.upload_capacities = sc.upload_caps;
+  cfg.download_capacities = sc.download_caps;
+  cfg.departures = sc.departures;
+  cfg.drop_transfers_involving_inactive = sc.drop_on_churn;
+  cfg.depart_on_complete = sc.depart_on_complete;
+  return cfg;
 }
 
 /// Appends a same-tick forward of the first planned transfer's block — the
@@ -77,77 +86,50 @@ class FaultyScheduler final : public Scheduler {
 
 }  // namespace
 
-const char* to_string(SchedulerKind kind) {
-  switch (kind) {
-    case SchedulerKind::kPipeline: return "pipeline";
-    case SchedulerKind::kMulticastTree: return "multicast-tree";
-    case SchedulerKind::kBinomialTree: return "binomial-tree";
-    case SchedulerKind::kBinomialPipeline: return "binomial-pipeline";
-    case SchedulerKind::kRiffle: return "riffle";
-    case SchedulerKind::kStripedTrees: return "striped-trees";
-    case SchedulerKind::kMultiServer: return "multi-server";
-    case SchedulerKind::kRandomized: return "randomized";
-    case SchedulerKind::kCreditRandomized: return "credit-randomized";
-    case SchedulerKind::kRotating: return "rotating";
-    case SchedulerKind::kTitForTat: return "tit-for-tat";
+MechanismSpec mechanism_spec(const scale::RunSpec& s) {
+  MechanismSpec m;
+  m.credit_limit = s.credit;
+  m.max_cycle_len = s.mechanism == MechanismKind::kTriangular ? 3 : s.cycle_len;
+  switch (s.mechanism) {
+    case MechanismKind::kNone:
+      // build_scheduler's fallback for credit-randomized.
+      m.kind = s.algo == Algo::kCreditRandomized ? MechanismSpec::Kind::kCreditLimited
+                                                 : MechanismSpec::Kind::kNone;
+      break;
+    case MechanismKind::kStrict: m.kind = MechanismSpec::Kind::kStrictBarter; break;
+    case MechanismKind::kCredit: m.kind = MechanismSpec::Kind::kCreditLimited; break;
+    case MechanismKind::kTriangular:
+    case MechanismKind::kCyclic: m.kind = MechanismSpec::Kind::kCyclicBarter; break;
   }
-  return "?";
-}
-
-const char* to_string(EngineKind kind) {
-  switch (kind) {
-    case EngineKind::kCore: return "core";
-    case EngineKind::kScale: return "scale";
-  }
-  return "?";
-}
-
-EngineConfig Scenario::to_config() const {
-  EngineConfig cfg;
-  cfg.num_nodes = n;
-  cfg.num_blocks = k;
-  cfg.upload_capacity = upload;
-  cfg.download_capacity = download;
-  cfg.server_upload_capacity = server_upload;
-  cfg.upload_capacities = upload_caps;
-  cfg.download_capacities = download_caps;
-  cfg.departures = departures;
-  cfg.drop_transfers_involving_inactive = drop_on_churn;
-  cfg.depart_on_complete = depart_on_complete;
-  // Cut hopeless runs (disconnected overlays, churned-out pipelines) early
-  // instead of spinning to the generous default tick cap. The deterministic
-  // scale schedules are exempt: a sparse riffle tick moves O(n) blocks out
-  // of O(n k) outstanding, far below the stall heuristic's utilization
-  // floor, yet the schedule provably finishes at n + k - 2.
-  cfg.stall_window = 64;
-  if (engine == EngineKind::kScale && scheduler != SchedulerKind::kRandomized &&
-      scheduler != SchedulerKind::kCreditRandomized) {
-    cfg.stall_window = 0;
-  }
-  return cfg;
+  return m;
 }
 
 std::string Scenario::describe() const {
+  const scale::RunSpec& s = spec;
   std::ostringstream os;
-  if (engine == EngineKind::kScale) os << "scale:";
-  os << to_string(scheduler) << " n=" << n << " k=" << k << " u=" << upload << " d=";
-  if (download == kUnlimited) {
+  if (s.engine != RunEngine::kCore) os << "scale:";
+  // describe() feeds the corpus headers and the fuzz digest, so it keeps
+  // two spellings of its own: multicast-tree (flag tree) and flash-crowd
+  // (flag flash).
+  os << (s.algo == Algo::kTree ? "multicast-tree" : to_string(s.algo)) << " n=" << s.n
+     << " k=" << s.k << " u=" << s.upload << " d=";
+  if (s.download == kUnlimited) {
     os << "inf";
   } else {
-    os << download;
+    os << s.download;
   }
-  if (server_upload != 0) os << " su=" << server_upload;
-  os << " mech=" << mechanism.describe();
-  if (is_randomized_family(scheduler) && scheduler != SchedulerKind::kRotating) {
-    os << " overlay=" << to_string(overlay);
-    if (overlay == OverlayKind::kRegular) os << ":" << degree;
-    if (overlay == OverlayKind::kKaryTree) os << ":" << arity;
+  if (s.servers != 0) os << " su=" << s.servers;
+  os << " mech=" << mechanism_spec(s).describe();
+  if (scale::overlay_bound(s.algo)) {
+    os << " overlay=" << to_string(s.overlay);
+    if (s.overlay == OverlayKind::kRegular) os << ":" << s.degree;
+    if (s.overlay == OverlayKind::kKaryTree) os << ":" << s.arity;
   }
-  switch (scheduler) {
-    case SchedulerKind::kMulticastTree: os << " arity=" << arity; break;
-    case SchedulerKind::kStripedTrees: os << " stripes=" << stripes; break;
-    case SchedulerKind::kMultiServer: os << " servers=" << servers; break;
-    case SchedulerKind::kRotating: os << " degree=" << degree << " period=" << period; break;
+  switch (s.algo) {
+    case Algo::kTree: os << " arity=" << s.arity; break;
+    case Algo::kStripedTrees: os << " stripes=" << s.stripes; break;
+    case Algo::kMultiServer: os << " servers=" << s.servers; break;
+    case Algo::kRotating: os << " degree=" << s.degree << " period=" << s.period; break;
     default: break;
   }
   if (!upload_caps.empty()) os << " hetero-up";
@@ -161,114 +143,48 @@ std::string Scenario::describe() const {
   }
   if (drop_on_churn) os << " drop";
   if (depart_on_complete) os << " depart-on-complete";
-  if (stream) {
-    os << " stream=" << scale::stream::arrival_pattern_name(arrival_pattern);
-    if (playback_window != 0) os << " window=" << playback_window;
-    os << " startup=" << startup_blocks << " ivl=" << playback_interval;
-    if (hard_deadlines) os << " deadlines";
-    if (rate_class_count != 0) os << " classes=" << rate_class_count;
-    if (rate_changes != 0) os << " rate-churn=" << rate_changes;
+  if (s.engine == RunEngine::kStream) {
+    os << " stream=" << scale::stream::arrival_pattern_name(s.arrivals);
+    if (s.window != 0) os << " window=" << s.window;
+    os << " startup=" << s.startup << " ivl=" << s.interval;
+    if (s.deadlines) os << " deadlines";
+    if (s.classes != 0) os << " classes=" << s.classes;
+    if (s.churn != 0) os << " rate-churn=" << s.churn;
   }
   if (fault == FaultKind::kSameTickForward) os << " FAULT=same-tick-forward";
-  os << " seed=" << seed;
+  os << " seed=" << s.seed;
   return os.str();
 }
 
 std::string Scenario::to_gtest(const std::string& diagnosis) const {
   std::ostringstream os;
-  os << "TEST(PobFuzzRepro, Seed" << seed << ") {\n";
+  os << "TEST(PobFuzzRepro, Seed" << spec.seed << ") {\n";
   os << "  // " << describe() << "\n";
   if (!diagnosis.empty()) os << "  // failed with: " << diagnosis << "\n";
   os << "  using namespace pob::check;\n";
   os << "  Scenario sc;\n";
-  os << "  sc.seed = " << seed << "ull;\n";
-  if (engine == EngineKind::kScale) os << "  sc.engine = EngineKind::kScale;\n";
-  os << "  sc.scheduler = SchedulerKind::k";
-  switch (scheduler) {
-    case SchedulerKind::kPipeline: os << "Pipeline"; break;
-    case SchedulerKind::kMulticastTree: os << "MulticastTree"; break;
-    case SchedulerKind::kBinomialTree: os << "BinomialTree"; break;
-    case SchedulerKind::kBinomialPipeline: os << "BinomialPipeline"; break;
-    case SchedulerKind::kRiffle: os << "Riffle"; break;
-    case SchedulerKind::kStripedTrees: os << "StripedTrees"; break;
-    case SchedulerKind::kMultiServer: os << "MultiServer"; break;
-    case SchedulerKind::kRandomized: os << "Randomized"; break;
-    case SchedulerKind::kCreditRandomized: os << "CreditRandomized"; break;
-    case SchedulerKind::kRotating: os << "Rotating"; break;
-    case SchedulerKind::kTitForTat: os << "TitForTat"; break;
-  }
-  os << ";\n";
-  os << "  sc.overlay = OverlayKind::k";
-  switch (overlay) {
-    case OverlayKind::kComplete: os << "Complete"; break;
-    case OverlayKind::kRegular: os << "Regular"; break;
-    case OverlayKind::kHypercube: os << "Hypercube"; break;
-    case OverlayKind::kRing: os << "Ring"; break;
-    case OverlayKind::kKaryTree: os << "KaryTree"; break;
-  }
-  os << ";\n";
-  os << "  sc.mechanism.kind = MechanismSpec::Kind::k";
-  switch (mechanism.kind) {
-    case MechanismSpec::Kind::kNone: os << "None"; break;
-    case MechanismSpec::Kind::kStrictBarter: os << "StrictBarter"; break;
-    case MechanismSpec::Kind::kCreditLimited: os << "CreditLimited"; break;
-    case MechanismSpec::Kind::kCyclicBarter: os << "CyclicBarter"; break;
-  }
-  os << ";\n";
-  os << "  sc.mechanism.credit_limit = " << mechanism.credit_limit << ";\n";
-  os << "  sc.mechanism.max_cycle_len = " << mechanism.max_cycle_len << ";\n";
-  os << "  sc.n = " << n << ";\n  sc.k = " << k << ";\n";
-  os << "  sc.upload = " << upload << ";\n";
-  if (download == kUnlimited) {
-    os << "  sc.download = pob::kUnlimited;\n";
-  } else {
-    os << "  sc.download = " << download << ";\n";
-  }
-  os << "  sc.server_upload = " << server_upload << ";\n";
-  os << "  sc.arity = " << arity << ";\n  sc.stripes = " << stripes << ";\n";
-  os << "  sc.servers = " << servers << ";\n  sc.degree = " << degree << ";\n";
-  os << "  sc.period = " << period << ";\n";
-  if (!upload_caps.empty()) {
-    os << "  sc.upload_caps = {";
-    for (std::size_t i = 0; i < upload_caps.size(); ++i) {
-      os << (i == 0 ? "" : ", ") << upload_caps[i];
-    }
-    os << "};\n";
-  }
-  if (!download_caps.empty()) {
-    os << "  sc.download_caps = {";
-    for (std::size_t i = 0; i < download_caps.size(); ++i) {
+  os << "  sc.spec = pob::scale::parse_run_spec(\"" << to_flags(spec)
+     << "\", pob::scale::RunSpec{});\n";
+  const auto caps = [&](const char* field, const std::vector<std::uint32_t>& v) {
+    if (v.empty()) return;
+    os << "  sc." << field << " = {";
+    for (std::size_t i = 0; i < v.size(); ++i) {
       if (i != 0) os << ", ";
-      if (download_caps[i] == kUnlimited) {
+      if (v[i] == kUnlimited) {
         os << "pob::kUnlimited";
       } else {
-        os << download_caps[i];
+        os << v[i];
       }
     }
     os << "};\n";
-  }
+  };
+  caps("upload_caps", upload_caps);
+  caps("download_caps", download_caps);
   for (const auto& [t, c] : departures) {
     os << "  sc.departures.push_back({" << t << ", " << c << "});\n";
   }
-  os << "  sc.drop_on_churn = " << (drop_on_churn ? "true" : "false") << ";\n";
-  os << "  sc.depart_on_complete = " << (depart_on_complete ? "true" : "false") << ";\n";
-  if (stream) {
-    os << "  sc.stream = true;\n";
-    os << "  sc.arrival_pattern = pob::scale::stream::ArrivalPattern::k";
-    switch (arrival_pattern) {
-      case scale::stream::ArrivalPattern::kAllAtStart: os << "AllAtStart"; break;
-      case scale::stream::ArrivalPattern::kPoisson: os << "Poisson"; break;
-      case scale::stream::ArrivalPattern::kFlashCrowd: os << "FlashCrowd"; break;
-      case scale::stream::ArrivalPattern::kBurst: os << "Burst"; break;
-    }
-    os << ";\n";
-    os << "  sc.rate_class_count = " << rate_class_count << ";\n";
-    os << "  sc.rate_changes = " << rate_changes << ";\n";
-    os << "  sc.playback_window = " << playback_window << ";\n";
-    os << "  sc.startup_blocks = " << startup_blocks << ";\n";
-    os << "  sc.playback_interval = " << playback_interval << ";\n";
-    os << "  sc.hard_deadlines = " << (hard_deadlines ? "true" : "false") << ";\n";
-  }
+  if (drop_on_churn) os << "  sc.drop_on_churn = true;\n";
+  if (depart_on_complete) os << "  sc.depart_on_complete = true;\n";
   if (fault == FaultKind::kSameTickForward) {
     os << "  sc.fault = FaultKind::kSameTickForward;\n";
   }
@@ -279,129 +195,110 @@ std::string Scenario::to_gtest(const std::string& diagnosis) const {
 }
 
 void sanitize(Scenario& sc) {
+  scale::RunSpec& s = sc.spec;
   // The stream axis rides the scale engine's randomized protocol only, and
-  // fault injection targets the core oracle path — a faulted scenario stays
-  // a core scenario. This runs first so every rule below sees the final
-  // (engine, scheduler) pair.
-  if (sc.fault != FaultKind::kNone) sc.stream = false;
-  if (sc.stream) {
-    sc.engine = EngineKind::kScale;
-    sc.scheduler = SchedulerKind::kRandomized;
+  // fault injection targets the oracle's mirror path — a faulted stream
+  // scenario runs on the scale engine. This runs first so every rule below
+  // sees the final (engine, algo) pair.
+  if (sc.fault != FaultKind::kNone && s.engine == RunEngine::kStream) {
+    s.engine = RunEngine::kScale;
   }
+  const bool scale_engine = s.engine != RunEngine::kCore;
   // The scale engine implements the randomized cooperative protocol, its
   // credit-limited variant, and the deterministic mechanisms ported from
   // core: binomial pipeline, riffle pipeline, and triangular barter (the
-  // latter encoded as kBinomialPipeline + CyclicBarter, since the §3.3
-  // result is that the binomial schedule itself satisfies the 3-cycle
-  // ledger). Everything else collapses to randomized so the churn /
-  // heterogeneity rules below (keyed on kRandomized) apply unchanged.
-  if (sc.engine == EngineKind::kScale &&
-      sc.scheduler != SchedulerKind::kBinomialPipeline &&
-      sc.scheduler != SchedulerKind::kRiffle) {
-    sc.scheduler = SchedulerKind::kRandomized;
+  // binomial pipeline under the 3-cycle ledger, since the §3.3 result is
+  // that the binomial schedule itself satisfies it). Everything else, and
+  // every stream run, collapses to randomized so the churn / heterogeneity
+  // rules below (keyed on kRandomized) apply unchanged.
+  if (s.engine == RunEngine::kStream ||
+      (scale_engine && s.algo != Algo::kBinomialPipeline && s.algo != Algo::kRiffle)) {
+    s.algo = Algo::kRandomized;
   }
-  sc.n = std::clamp(sc.n, 2u,
-                    sc.engine == EngineKind::kScale ? kMaxScaleNodes : kMaxNodes);
-  sc.k = std::clamp(sc.k, 1u, kMaxBlocks);
-  sc.upload = std::clamp(sc.upload, 1u, 2u);
-  sc.arity = std::clamp(sc.arity, 2u, 4u);
-  sc.period = std::clamp<Tick>(sc.period, 1, 32);
-  sc.mechanism.credit_limit = std::clamp(sc.mechanism.credit_limit, 1u, 3u);
-  sc.mechanism.max_cycle_len = std::clamp(sc.mechanism.max_cycle_len, 2u, 4u);
+  s.n = std::clamp(s.n, 2u, scale_engine ? kMaxScaleNodes : kMaxNodes);
+  s.k = std::clamp(s.k, 1u, kMaxBlocks);
+  s.upload = std::clamp(s.upload, 1u, 2u);
+  s.arity = std::clamp(s.arity, 2u, 4u);
+  s.period = std::clamp<Tick>(s.period, 1, 32);
+  s.credit = std::clamp(s.credit, 1u, 3u);
+  s.cycle_len = std::clamp(s.cycle_len, 2u, 4u);
 
   // Deterministic schedules are materialized for unit capacities; the riffle
   // additionally takes (u, d) but the schedule builder is only exercised at
   // u = 1 here.
-  if (!is_randomized_family(sc.scheduler)) sc.upload = 1;
-  if (sc.download != kUnlimited && sc.download < sc.upload) sc.download = sc.upload;
+  if (!is_randomized_family(s.algo)) s.upload = 1;
+  if (s.download != kUnlimited && s.download < s.upload) s.download = s.upload;
 
-  switch (sc.scheduler) {
-    case SchedulerKind::kRiffle:
+  switch (s.algo) {
+    case Algo::kRiffle:
       // Theorem 3's schedule; d = 2u is the tight regime, d = u serializes.
-      if (sc.download == kUnlimited || sc.download > 2 * sc.upload) {
-        sc.download = 2 * sc.upload;
-      }
-      if (sc.mechanism.kind != MechanismSpec::Kind::kStrictBarter) {
-        sc.mechanism.kind = MechanismSpec::Kind::kNone;
-      }
+      if (s.download == kUnlimited || s.download > 2 * s.upload) s.download = 2 * s.upload;
+      if (s.mechanism != MechanismKind::kStrict) s.mechanism = MechanismKind::kNone;
       break;
-    case SchedulerKind::kStripedTrees:
-      sc.n = std::max(sc.n, 3u);
-      sc.stripes = std::clamp(sc.stripes, 2u, std::min(4u, sc.n - 1));
-      if (sc.download != kUnlimited) sc.download = std::max(sc.download, sc.stripes);
-      sc.mechanism.kind = MechanismSpec::Kind::kNone;
+    case Algo::kStripedTrees:
+      s.n = std::max(s.n, 3u);
+      s.stripes = std::clamp(s.stripes, 2u, std::min(4u, s.n - 1));
+      if (s.download != kUnlimited) s.download = std::max(s.download, s.stripes);
+      s.mechanism = MechanismKind::kNone;
       break;
-    case SchedulerKind::kMultiServer:
-      sc.n = std::max(sc.n, 3u);
-      sc.servers = std::clamp(sc.servers, 2u, std::min(4u, sc.n - 1));
-      sc.server_upload = sc.servers;
-      sc.mechanism.kind = MechanismSpec::Kind::kNone;
+    case Algo::kMultiServer:
+      // --servers is both the server upload and the schedule's m.
+      s.n = std::max(s.n, 3u);
+      s.servers = std::clamp(s.servers, 2u, std::min(4u, s.n - 1));
+      s.mechanism = MechanismKind::kNone;
       break;
-    case SchedulerKind::kCreditRandomized:
+    case Algo::kCreditRandomized:
       // The may_upload precheck only guarantees end-of-tick legality when
       // each client sends at most one block per tick.
-      sc.upload = 1;
-      if (sc.mechanism.kind != MechanismSpec::Kind::kCreditLimited &&
-          sc.mechanism.kind != MechanismSpec::Kind::kCyclicBarter) {
-        sc.mechanism.kind = MechanismSpec::Kind::kCreditLimited;
+      s.upload = 1;
+      if (s.mechanism != MechanismKind::kCredit && s.mechanism != MechanismKind::kCyclic) {
+        s.mechanism = MechanismKind::kCredit;
       }
       break;
-    case SchedulerKind::kPipeline:
-    case SchedulerKind::kMulticastTree:
-    case SchedulerKind::kBinomialTree:
-      sc.mechanism.kind = MechanismSpec::Kind::kNone;
-      break;
-    case SchedulerKind::kBinomialPipeline:
-      // On the scale engine, CyclicBarter marks the triangular-barter
+    case Algo::kBinomialPipeline:
+      // On the scale engine a cyclic draw marks the triangular-barter
       // variant: the identical binomial schedule run under a live 3-cycle
       // ledger. Everywhere else the schedule is purely cooperative.
-      if (sc.engine == EngineKind::kScale &&
-          sc.mechanism.kind == MechanismSpec::Kind::kCyclicBarter) {
-        sc.mechanism.max_cycle_len = 3;
-      } else {
-        sc.mechanism.kind = MechanismSpec::Kind::kNone;
+      s.mechanism = scale_engine && (s.mechanism == MechanismKind::kCyclic ||
+                                     s.mechanism == MechanismKind::kTriangular)
+                        ? MechanismKind::kTriangular
+                        : MechanismKind::kNone;
+      break;
+    case Algo::kRandomized:
+      // The scale planner prechecks its own §3.2 credit predicate, so it
+      // may run under credit; the other mechanisms it does not model.
+      if (!scale_engine || s.mechanism != MechanismKind::kCredit) {
+        s.mechanism = MechanismKind::kNone;
       }
       break;
-    case SchedulerKind::kRandomized:
-      if (sc.engine == EngineKind::kScale) {
-        // The scale planner prechecks its own §3.2 credit predicate, so it
-        // may run under CreditLimited; the other mechanisms it does not model.
-        if (sc.mechanism.kind != MechanismSpec::Kind::kCreditLimited) {
-          sc.mechanism.kind = MechanismSpec::Kind::kNone;
-        }
-      } else {
-        sc.mechanism.kind = MechanismSpec::Kind::kNone;
-      }
-      break;
-    case SchedulerKind::kRotating:
-    case SchedulerKind::kTitForTat:
-      sc.mechanism.kind = MechanismSpec::Kind::kNone;
-      break;
+    case Algo::kPipeline:
+    case Algo::kTree:
+    case Algo::kBinomialTree:
+    case Algo::kRotating:
+    case Algo::kTitForTat: s.mechanism = MechanismKind::kNone; break;
   }
-  if (sc.scheduler != SchedulerKind::kMultiServer) {
-    sc.server_upload = std::min(sc.server_upload, 2u);
-  }
+  if (s.algo != Algo::kMultiServer) s.servers = std::min(s.servers, 2u);
 
   // Heterogeneous capacities: plain randomized only (the scheduler options
   // must mirror the config, and only RandomizedOptions carries the vectors).
-  if (sc.scheduler != SchedulerKind::kRandomized) {
+  if (s.algo != Algo::kRandomized) {
     sc.upload_caps.clear();
     sc.download_caps.clear();
   }
   if (!sc.upload_caps.empty()) {
-    sc.upload_caps.resize(sc.n, 1);
+    sc.upload_caps.resize(s.n, 1);
     for (auto& c : sc.upload_caps) c = std::clamp(c, 1u, 3u);
   }
-  if (!sc.upload_caps.empty() && sc.download_caps.empty() && sc.download != kUnlimited) {
+  if (!sc.upload_caps.empty() && sc.download_caps.empty() && s.download != kUnlimited) {
     // A limited scalar download under heterogeneous uploads would violate
     // d >= u wherever the node's upload exceeds it; materialize per-node
     // downloads so the fixup below can raise them.
-    sc.download_caps.assign(sc.n, sc.download);
+    sc.download_caps.assign(s.n, s.download);
   }
   if (!sc.download_caps.empty()) {
-    sc.download_caps.resize(sc.n, kUnlimited);
+    sc.download_caps.resize(s.n, kUnlimited);
     const auto up_of = [&](std::size_t i) {
-      return sc.upload_caps.empty() ? sc.upload : sc.upload_caps[i];
+      return sc.upload_caps.empty() ? s.upload : sc.upload_caps[i];
     };
     for (std::size_t i = 0; i < sc.download_caps.size(); ++i) {
       if (sc.download_caps[i] != kUnlimited) {
@@ -410,17 +307,17 @@ void sanitize(Scenario& sc) {
     }
   }
 
-  if (sc.overlay == OverlayKind::kRing && sc.n < 3) sc.overlay = OverlayKind::kComplete;
+  if (s.overlay == OverlayKind::kRing && s.n < 3) s.overlay = OverlayKind::kComplete;
 
   // Regular-graph degree (used by the regular overlay and by rotation):
   // make_random_regular needs degree < n with degree * n even.
   {
-    const std::uint32_t hi = sc.n - 1;
-    sc.degree = std::clamp(sc.degree, std::min(2u, hi), hi);
-    if (sc.degree % 2 != 0 && sc.n % 2 != 0) {
+    const std::uint32_t hi = s.n - 1;
+    s.degree = std::clamp(s.degree, std::min(2u, hi), hi);
+    if (s.degree % 2 != 0 && s.n % 2 != 0) {
       // n odd forces even degree; hi = n - 1 is even, so the odd degree is
       // strictly below it and bumping up stays in range.
-      sc.degree = sc.degree < hi ? sc.degree + 1 : sc.degree - 1;
+      s.degree = s.degree < hi ? s.degree + 1 : s.degree - 1;
     }
   }
 
@@ -428,340 +325,226 @@ void sanitize(Scenario& sc) {
   // (randomized family reads live state; pipelines are the drop-forgiveness
   // regression family). Any timed departure forces drop mode — rigid
   // schedules keep naming departed nodes, and that must be lossy, not fatal.
-  if (!may_have_churn(sc.scheduler)) {
+  if (!may_have_churn(s.algo)) {
     sc.departures.clear();
     sc.depart_on_complete = false;
   }
   if (sc.departures.size() > 3) sc.departures.resize(3);
   for (auto& [t, c] : sc.departures) {
     if (t < 1 || t > 40) t = 1 + t % 40;
-    if (c < 1 || c >= sc.n) c = 1 + c % (sc.n - 1);
+    if (c < 1 || c >= s.n) c = 1 + c % (s.n - 1);
   }
-  if (sc.depart_on_complete && sc.scheduler != SchedulerKind::kRandomized) {
-    sc.depart_on_complete = false;
-  }
+  if (sc.depart_on_complete && s.algo != Algo::kRandomized) sc.depart_on_complete = false;
   sc.drop_on_churn = !sc.departures.empty() || sc.depart_on_complete;
 
   // Deterministic scale schedules are pure index arithmetic on power-of-two
   // hypercubes with unit uniform capacities and no churn; snap every axis
   // into that space (the scale engine hard-rejects anything outside it).
   // This runs last because the churn section above would otherwise re-admit
-  // departures for kBinomialPipeline.
-  if (sc.engine == EngineKind::kScale && !is_randomized_family(sc.scheduler)) {
-    if (sc.scheduler == SchedulerKind::kRiffle) {
+  // departures for the binomial pipeline.
+  const bool deterministic_scale = scale_engine && !is_randomized_family(s.algo);
+  if (deterministic_scale) {
+    if (s.algo == Algo::kRiffle) {
       // The reference oracle replays all T = n + k - 2 ticks; cap n so the
       // mirrored run stays affordable.
-      sc.n = std::min(sc.n, 512u);
+      s.n = std::min(s.n, 512u);
     }
-    sc.n = std::bit_floor(sc.n);
-    sc.upload = 1;
-    sc.server_upload = std::min(sc.server_upload, 1u);
+    s.n = std::bit_floor(s.n);
+    s.upload = 1;
+    s.servers = std::min(s.servers, 1u);
     sc.upload_caps.clear();
     sc.download_caps.clear();
     sc.departures.clear();
     sc.depart_on_complete = false;
     sc.drop_on_churn = false;
-    if (sc.scheduler == SchedulerKind::kRiffle) {
+    if (s.algo == Algo::kRiffle) {
       // Strict barter on the complete graph; d = 2 because a server
       // hand-off may land on a client that is bartering the same tick.
-      sc.overlay = OverlayKind::kComplete;
-      sc.download = 2;
-      sc.mechanism.kind = MechanismSpec::Kind::kStrictBarter;
-    } else if (sc.overlay != OverlayKind::kComplete) {
-      sc.overlay = OverlayKind::kHypercube;
+      s.overlay = OverlayKind::kComplete;
+      s.download = 2;
+      s.mechanism = MechanismKind::kStrict;
+    } else if (s.overlay != OverlayKind::kComplete) {
+      s.overlay = OverlayKind::kHypercube;
     }
   }
 
-  // Stream clamps (sc.engine/scheduler were already coerced above). The
-  // async mirror replays every recorded transfer through pob/async, so keep
-  // the file small; arrivals replace config departures outright, and rate
-  // classes replace the static heterogeneous cap vectors.
-  if (sc.stream) {
-    sc.k = std::min(sc.k, 24u);
+  // Stream clamps. The async mirror replays every recorded transfer through
+  // pob/async, so keep the file small; arrivals replace config departures
+  // outright, and rate classes replace the static heterogeneous cap vectors.
+  if (s.engine == RunEngine::kStream) {
+    s.k = std::min(s.k, 24u);
     sc.departures.clear();
     sc.depart_on_complete = false;
     sc.drop_on_churn = false;
-    if (sc.rate_class_count != 0) {
-      sc.rate_class_count = std::clamp(sc.rate_class_count, 2u, 3u);
+    if (s.classes != 0) {
+      s.classes = std::clamp(s.classes, 2u, 3u);
       sc.upload_caps.clear();
       sc.download_caps.clear();
     }
-    if (sc.rate_class_count == 0) {
-      sc.rate_changes = 0;  // kRate events need classes to draw from
-    } else {
-      sc.rate_changes = std::min(sc.rate_changes, 8u);
-    }
-    sc.startup_blocks = std::clamp(sc.startup_blocks, 1u, sc.k);
-    sc.playback_interval = std::clamp<Tick>(sc.playback_interval, 1, 4);
-    if (sc.playback_window != 0) {
-      sc.playback_window = std::clamp(sc.playback_window, 1u, sc.k);
-    }
+    // kRate events need classes to draw from.
+    s.churn = s.classes == 0 ? 0 : std::min(s.churn, 8u);
+    s.startup = std::clamp(s.startup, 1u, s.k);
+    s.interval = std::clamp<Tick>(s.interval, 1, 4);
+    if (s.window != 0) s.window = std::clamp(s.window, 1u, s.k);
   }
+
+  // The knobs the sampler does not draw are pure functions of the seed.
+  // The block policy alternates (tit-for-tat keeps its rarest-first piece
+  // policy); small probe budgets exercise the planner's give-up path; the
+  // stream patterns stay tight so sampled runs resolve in tens of ticks:
+  // sub-tick to multi-tick Poisson gaps, a spike inside the first dozen
+  // ticks, cohorts of a handful to ~100 clients.
+  const std::uint64_t seed = s.seed;
+  s.policy = s.algo == Algo::kTitForTat || seed % 2 != 0 ? BlockPolicy::kRarestFirst
+                                                         : BlockPolicy::kRandom;
+  s.probes = seed_knob(seed, 8, 2, 23);
+  s.gap16 = seed_knob(seed, 4, 4, 29);
+  s.flash_start = seed_knob(seed, 9, 2, 7);
+  s.flash_width = seed_knob(seed, 12, 1, 6);
+  s.flash_pct = seed_knob(seed, 15, 50, 51);
+  s.burst_period = seed_knob(seed, 21, 1, 6);
+  s.burst_size = seed_knob(seed, 24, 4, 97);
+  s.horizon = 32;
+  // Cut hopeless runs (disconnected overlays, churned-out pipelines) early
+  // instead of spinning to the generous default tick cap. The deterministic
+  // scale schedules are exempt: a sparse riffle tick moves O(n) blocks out
+  // of O(n k) outstanding, far below the stall heuristic's utilization
+  // floor, yet the schedule provably finishes at n + k - 2.
+  s.stall_window = deterministic_scale ? 0 : 64;
 }
 
 Scenario sample_scenario(std::uint64_t base_seed, std::uint32_t index) {
   Rng rng(trial_seed(base_seed, index));
   Scenario sc;
-  sc.seed = rng.next();
-  constexpr SchedulerKind kKinds[] = {
-      SchedulerKind::kPipeline,       SchedulerKind::kMulticastTree,
-      SchedulerKind::kBinomialTree,   SchedulerKind::kBinomialPipeline,
-      SchedulerKind::kRiffle,         SchedulerKind::kStripedTrees,
-      SchedulerKind::kMultiServer,    SchedulerKind::kRandomized,
-      SchedulerKind::kRandomized,     SchedulerKind::kRandomized,
-      SchedulerKind::kCreditRandomized, SchedulerKind::kCreditRandomized,
-      SchedulerKind::kRotating,       SchedulerKind::kTitForTat,
+  scale::RunSpec& s = sc.spec;
+  s.seed = rng.next();
+  constexpr Algo kAlgos[] = {
+      Algo::kPipeline,         Algo::kTree,       Algo::kBinomialTree,
+      Algo::kBinomialPipeline, Algo::kRiffle,     Algo::kStripedTrees,
+      Algo::kMultiServer,      Algo::kRandomized, Algo::kRandomized,
+      Algo::kRandomized,       Algo::kCreditRandomized, Algo::kCreditRandomized,
+      Algo::kRotating,         Algo::kTitForTat,
   };
-  sc.scheduler = kKinds[rng.below(static_cast<std::uint32_t>(std::size(kKinds)))];
+  s.algo = kAlgos[rng.below(static_cast<std::uint32_t>(std::size(kAlgos)))];
   constexpr OverlayKind kOverlays[] = {
       OverlayKind::kComplete, OverlayKind::kComplete, OverlayKind::kRegular,
       OverlayKind::kHypercube, OverlayKind::kRing, OverlayKind::kKaryTree,
   };
-  sc.overlay = kOverlays[rng.below(static_cast<std::uint32_t>(std::size(kOverlays)))];
-  sc.n = 2 + rng.below(kMaxNodes - 1);
-  sc.k = 1 + rng.below(kMaxBlocks);
-  sc.upload = 1 + rng.below(2);
+  s.overlay = kOverlays[rng.below(static_cast<std::uint32_t>(std::size(kOverlays)))];
+  s.n = 2 + rng.below(kMaxNodes - 1);
+  s.k = 1 + rng.below(kMaxBlocks);
+  s.upload = 1 + rng.below(2);
   switch (rng.below(3)) {  // d in {u, 2u, inf}
-    case 0: sc.download = sc.upload; break;
-    case 1: sc.download = 2 * sc.upload; break;
-    default: sc.download = kUnlimited; break;
+    case 0: s.download = s.upload; break;
+    case 1: s.download = 2 * s.upload; break;
+    default: s.download = kUnlimited; break;
   }
-  sc.server_upload = rng.below(4) == 0 ? 2 : 0;
-  sc.arity = 2 + rng.below(3);
-  sc.stripes = 2 + rng.below(3);
-  sc.servers = 2 + rng.below(3);
-  sc.degree = 3 + rng.below(8);
-  sc.period = 2 + rng.below(16);
+  const std::uint32_t server_upload = rng.below(4) == 0 ? 2 : 0;
+  s.arity = 2 + rng.below(3);
+  s.stripes = 2 + rng.below(3);
+  const std::uint32_t multi_servers = 2 + rng.below(3);
+  s.degree = 3 + rng.below(8);
+  s.period = 2 + rng.below(16);
   switch (rng.below(3)) {
-    case 0:
-      sc.mechanism.kind = MechanismSpec::Kind::kCreditLimited;
-      break;
-    case 1:
-      sc.mechanism.kind = MechanismSpec::Kind::kCyclicBarter;
-      break;
+    case 0: s.mechanism = MechanismKind::kCredit; break;
+    case 1: s.mechanism = MechanismKind::kCyclic; break;
     default:
-      sc.mechanism.kind = sc.scheduler == SchedulerKind::kRiffle
-                              ? MechanismSpec::Kind::kStrictBarter
-                              : MechanismSpec::Kind::kNone;
+      s.mechanism = s.algo == Algo::kRiffle ? MechanismKind::kStrict : MechanismKind::kNone;
       break;
   }
-  sc.mechanism.credit_limit = 1 + rng.below(3);
-  sc.mechanism.max_cycle_len = 3 + rng.below(2);
-  if (sc.scheduler == SchedulerKind::kRandomized && rng.below(3) == 0) {
-    sc.upload_caps.resize(sc.n);
+  s.credit = 1 + rng.below(3);
+  s.cycle_len = 3 + rng.below(2);
+  if (s.algo == Algo::kRandomized && rng.below(3) == 0) {
+    sc.upload_caps.resize(s.n);
     for (auto& c : sc.upload_caps) c = 1 + rng.below(3);
     if (rng.below(2) == 0) {
-      sc.download_caps.resize(sc.n);
-      for (std::size_t i = 0; i < sc.n; ++i) {
+      sc.download_caps.resize(s.n);
+      for (std::size_t i = 0; i < s.n; ++i) {
         sc.download_caps[i] =
             rng.below(2) == 0 ? kUnlimited : sc.upload_caps[i] + rng.below(2);
       }
     }
   }
-  if (may_have_churn(sc.scheduler) && rng.below(3) == 0) {
+  if (may_have_churn(s.algo) && rng.below(3) == 0) {
     const std::uint32_t count = 1 + rng.below(3);
     for (std::uint32_t i = 0; i < count; ++i) {
-      sc.departures.emplace_back(1 + rng.below(40), 1 + rng.below(sc.n - 1));
+      sc.departures.emplace_back(1 + rng.below(40), 1 + rng.below(s.n - 1));
     }
   }
-  if (sc.scheduler == SchedulerKind::kRandomized && rng.below(8) == 0) {
-    sc.depart_on_complete = true;
-  }
+  if (s.algo == Algo::kRandomized && rng.below(8) == 0) sc.depart_on_complete = true;
   // The engine axis, drawn last so the scenario stream for the fields above
   // is unchanged: ~1 in 4 scenarios run on the scale engine (sanitize then
   // coerces them into its protocol family), and some of those leave the core
   // sampler's node range entirely.
   if (rng.below(4) == 0) {
-    sc.engine = EngineKind::kScale;
-    if (rng.below(8) == 0) sc.n = kMaxNodes + 1 + rng.below(960);
+    s.engine = RunEngine::kScale;
+    if (rng.below(8) == 0) s.n = kMaxNodes + 1 + rng.below(960);
     // Half the scale draws run a deterministic mechanism ported from core;
     // sanitize snaps n to a power of two and clears churn for those.
     switch (rng.below(6)) {
       case 0:
-        sc.scheduler = SchedulerKind::kBinomialPipeline;
-        sc.mechanism.kind = MechanismSpec::Kind::kNone;
+        s.algo = Algo::kBinomialPipeline;
+        s.mechanism = MechanismKind::kNone;
         break;
       case 1:  // triangular barter: the binomial schedule + 3-cycle ledger
-        sc.scheduler = SchedulerKind::kBinomialPipeline;
-        sc.mechanism.kind = MechanismSpec::Kind::kCyclicBarter;
+        s.algo = Algo::kBinomialPipeline;
+        s.mechanism = MechanismKind::kTriangular;
         break;
-      case 2:
-        sc.scheduler = SchedulerKind::kRiffle;
-        break;
-      default:
-        break;  // the randomized family, as sanitize coerces
+      case 2: s.algo = Algo::kRiffle; break;
+      default: break;  // the randomized family, as sanitize coerces
     }
     // A third of the randomized scale draws become stream scenarios: the
     // hybrid tick+event driver, mirrored through pob/async at these sizes.
     // The mirror's replay is O(transfers), so the stream sampler stays well
     // under the scale cap (sanitize admits up to kMaxScaleNodes for
     // hand-written repros).
-    if (sc.scheduler == SchedulerKind::kRandomized && rng.below(3) == 0) {
-      sc.stream = true;
-      sc.n = 4 + rng.below(509);
-      constexpr scale::stream::ArrivalPattern kPatterns[] = {
-          scale::stream::ArrivalPattern::kAllAtStart,
-          scale::stream::ArrivalPattern::kPoisson,
-          scale::stream::ArrivalPattern::kFlashCrowd,
-          scale::stream::ArrivalPattern::kBurst,
-      };
-      sc.arrival_pattern =
-          kPatterns[rng.below(static_cast<std::uint32_t>(std::size(kPatterns)))];
-      sc.rate_class_count = rng.below(2) == 0 ? 0 : 2 + rng.below(2);
-      sc.rate_changes = sc.rate_class_count == 0 ? 0 : rng.below(9);
-      sc.playback_window = rng.below(2) == 0 ? 0 : 1 + rng.below(8);
-      sc.startup_blocks = 1 + rng.below(4);
-      sc.playback_interval = 1 + rng.below(2);
-      sc.hard_deadlines = rng.below(2) == 0;
+    if (s.algo == Algo::kRandomized && rng.below(3) == 0) {
+      s.engine = RunEngine::kStream;
+      s.n = 4 + rng.below(509);
+      s.arrivals = static_cast<scale::stream::ArrivalPattern>(rng.below(4));
+      s.classes = rng.below(2) == 0 ? 0 : 2 + rng.below(2);
+      s.churn = s.classes == 0 ? 0 : rng.below(9);
+      s.window = rng.below(2) == 0 ? 0 : 1 + rng.below(8);
+      s.startup = 1 + rng.below(4);
+      s.interval = 1 + rng.below(2);
+      s.deadlines = rng.below(2) == 0;
     }
   }
+  // A core multi-server run's server upload is its m; every other run keeps
+  // the drawn server upload.
+  s.servers = s.engine == RunEngine::kCore && s.algo == Algo::kMultiServer ? multi_servers
+                                                                          : server_upload;
   sanitize(sc);
   return sc;
 }
 
 BuiltScenario build_scenario(const Scenario& sc) {
   BuiltScenario built;
-  built.config = sc.to_config();
-  Rng rng(sc.seed);
-
-  if (is_randomized_family(sc.scheduler) && sc.scheduler != SchedulerKind::kRotating) {
-    Rng overlay_rng = rng.split(0);
-    built.overlay = make_overlay(sc.overlay, sc.n, sc.degree, sc.arity, overlay_rng);
-  }
-
-  RandomizedOptions opt;
-  opt.upload_capacity = sc.upload;
-  opt.download_capacity = sc.download;
-  opt.upload_capacities = sc.upload_caps;
-  opt.download_capacities = sc.download_caps;
-  opt.policy = sc.seed % 2 == 0 ? BlockPolicy::kRandom : BlockPolicy::kRarestFirst;
-
-  switch (sc.scheduler) {
-    case SchedulerKind::kPipeline:
-      built.scheduler = std::make_unique<PipelineScheduler>(sc.n, sc.k);
-      break;
-    case SchedulerKind::kMulticastTree:
-      built.scheduler = std::make_unique<MulticastTreeScheduler>(sc.n, sc.k, sc.arity);
-      break;
-    case SchedulerKind::kBinomialTree:
-      built.scheduler = std::make_unique<BinomialTreeScheduler>(sc.n, sc.k);
-      break;
-    case SchedulerKind::kBinomialPipeline:
-      built.scheduler = std::make_unique<BinomialPipelineScheduler>(sc.n, sc.k);
-      break;
-    case SchedulerKind::kRiffle:
-      built.scheduler = std::make_unique<RifflePipelineScheduler>(
-          sc.n, sc.k, sc.upload,
-          sc.download == kUnlimited ? 2 * sc.upload : sc.download);
-      break;
-    case SchedulerKind::kStripedTrees:
-      built.scheduler = std::make_unique<StripedTreesScheduler>(sc.n, sc.k, sc.stripes);
-      break;
-    case SchedulerKind::kMultiServer:
-      built.scheduler = std::make_unique<MultiServerScheduler>(sc.n, sc.k, sc.servers);
-      break;
-    case SchedulerKind::kRandomized:
-      built.scheduler =
-          std::make_unique<RandomizedScheduler>(built.overlay, opt, rng.split(1));
-      break;
-    case SchedulerKind::kCreditRandomized:
-      built.mechanism = make_mechanism(sc.mechanism);
-      built.scheduler = std::make_unique<RandomizedScheduler>(
-          built.overlay, opt, rng.split(1), built.mechanism.get());
-      break;
-    case SchedulerKind::kRotating:
-      built.scheduler = std::make_unique<RotatingRandomizedScheduler>(
-          sc.n, sc.degree, sc.period, opt, rng.split(1));
-      break;
-    case SchedulerKind::kTitForTat: {
-      TitForTatOptions tft;
-      tft.upload_capacity = sc.upload;
-      tft.download_capacity = sc.download;
-      built.scheduler =
-          std::make_unique<TitForTatScheduler>(built.overlay, tft, rng.split(1));
-      break;
-    }
-  }
-  if (built.mechanism == nullptr) built.mechanism = make_mechanism(sc.mechanism);
+  built.config = scenario_config(sc);
+  built.run = scale::build_scheduler(sc.spec, built.config, sc.spec.seed);
   return built;
 }
 
-/// The CSR form of build_scenario's overlay (same seed-derived rng stream).
-/// The complete graph never materializes — that is the point at mega-swarm
-/// sizes.
-std::shared_ptr<const scale::Topology> make_scale_topology(const Scenario& sc) {
-  Rng overlay_rng = Rng(sc.seed).split(0);
-  return scale::make_topology(sc.overlay, sc.n, sc.degree, sc.arity, overlay_rng);
-}
-
-scale::ScaleOptions make_scale_options(const Scenario& sc) {
-  scale::ScaleOptions opt;
-  opt.policy = sc.seed % 2 == 0 ? BlockPolicy::kRandom : BlockPolicy::kRarestFirst;
-  switch (sc.scheduler) {
-    case SchedulerKind::kBinomialPipeline:
-      if (sc.mechanism.kind == MechanismSpec::Kind::kCyclicBarter) {
-        opt.scheduler = scale::SchedKind::kTriangularBarter;
-        opt.credit_limit = sc.mechanism.credit_limit;
-      } else {
-        opt.scheduler = scale::SchedKind::kBinomialPipeline;
-      }
-      break;
-    case SchedulerKind::kRiffle:
-      opt.scheduler = scale::SchedKind::kRifflePipeline;
-      break;
-    default:
-      if (sc.mechanism.kind == MechanismSpec::Kind::kCreditLimited) {
-        opt.credit_limit = sc.mechanism.credit_limit;
-      }
-      break;
-  }
-  // Vary the planner's knobs off their defaults: tiny shard sizes put shard
-  // boundaries mid-swarm (the jobs-determinism hazard), and small probe
-  // budgets exercise the give-up path.
-  opt.max_probes = 2 + static_cast<std::uint32_t>((sc.seed >> 8) % 23);
-  opt.shard_nodes = 1 + static_cast<std::uint32_t>((sc.seed >> 16) % 48);
-  // Half the scenarios run with phase timing collection on: the clock reads
-  // must never perturb the stream (jobs=1 vs jobs=4 digests still compare).
-  opt.collect_phase_timings = ((sc.seed >> 40) & 1) != 0;
-  return opt;
-}
-
-scale::stream::StreamSpec make_stream_spec(const Scenario& sc) {
+scale::stream::StreamSpec build_scale_scenario(const Scenario& sc) {
+  const scale::RunSpec& s = sc.spec;
   scale::stream::StreamSpec spec;
-  spec.config = sc.to_config();
-  spec.topology = make_scale_topology(sc);
-  spec.options = make_scale_options(sc);
-  spec.seed = sc.seed;
-
-  scale::stream::StreamWorkload& wl = spec.workload;
-  wl.arrivals = sc.arrival_pattern;
-  // Pattern parameters are seed-derived (pure, like the planner knobs in
-  // make_scale_options) and kept tight so sampled runs resolve in tens of
-  // ticks: sub-tick to multi-tick Poisson gaps, a spike inside the first
-  // dozen ticks, cohorts of a handful to ~100 clients.
-  wl.mean_gap16 = 4 + static_cast<std::uint32_t>((sc.seed >> 4) % 29);
-  wl.flash_start = 2 + static_cast<Tick>((sc.seed >> 9) % 7);
-  wl.flash_width = 1 + static_cast<std::uint32_t>((sc.seed >> 12) % 6);
-  wl.flash_pct = 50 + static_cast<std::uint32_t>((sc.seed >> 15) % 51);
-  wl.burst_period = 1 + static_cast<std::uint32_t>((sc.seed >> 21) % 6);
-  wl.burst_size = 4 + static_cast<std::uint32_t>((sc.seed >> 24) % 97);
-  for (std::uint32_t i = 0; i < sc.rate_class_count; ++i) {
-    scale::stream::RateClass cls;
-    cls.weight = 1 + i;
-    cls.up = 1 + i;
-    // down >= up always holds (the model rule build_workload enforces);
-    // the first class keeps unlimited download like the scalar default.
-    cls.down = i == 0 ? kUnlimited : 2 * (1 + i);
-    wl.rate_classes.push_back(cls);
+  if (s.engine == RunEngine::kStream) {
+    spec = scale::build_stream_spec(s, s.seed);
+  } else {
+    // The sampled overlay even for the binomial pipeline, which
+    // build_topology would run on the complete graph.
+    Rng overlay_rng = Rng(s.seed).split(0);
+    spec.topology = scale::make_topology(s.overlay, s.n, s.degree, s.arity, overlay_rng);
+    spec.options = scale::build_scale_options(s);
+    spec.seed = s.seed;
   }
-  wl.rate_changes = sc.rate_changes;
-  wl.rate_change_horizon = 32;
-
-  spec.demand.window = sc.playback_window;
-  spec.demand.startup_blocks = sc.startup_blocks;
-  spec.demand.interval = sc.playback_interval;
-  spec.demand.deadlines = sc.hard_deadlines;
-  spec.demand.deadline_slack = 2;
+  spec.config = scenario_config(sc);
+  // Tiny shard sizes put shard boundaries mid-swarm (the jobs-determinism
+  // hazard). Half the scenarios run with phase timing collection on: the
+  // clock reads must never perturb the stream (jobs=1 vs jobs=4 digests
+  // still compare).
+  spec.options.shard_nodes = seed_knob(s.seed, 16, 1, 48);
+  spec.options.collect_phase_timings = ((s.seed >> 40) & 1) != 0;
   return spec;
 }
 
@@ -781,8 +564,7 @@ ScenarioOutcome check_certificate_soundness(const Scenario& sc,
                                             const RunResult& r) {
   if (!r.completed) return {true, ""};
   const flow::BarterModel model =
-      sc.mechanism.kind == MechanismSpec::Kind::kStrictBarter
-          ? flow::BarterModel::kStrictBarter
+      sc.spec.mechanism == MechanismKind::kStrict ? flow::BarterModel::kStrictBarter
           : flow::BarterModel::kCooperative;
   // Fuzz-tier options: the counting components always run; the flow search
   // stays cheap enough to keep scenario throughput up.
@@ -809,27 +591,28 @@ ScenarioOutcome check_certificate_soundness(const Scenario& sc,
 /// core::Engine + mechanism + reference oracle and reproduce the identical
 /// RunResult — bookkeeping divergence is as much a bug as an illegal stream.
 ScenarioOutcome run_scale_scenario(const Scenario& sc) {
-  EngineConfig config = sc.to_config();
+  const scale::RunSpec& s = sc.spec;
+  const scale::stream::StreamSpec built = build_scale_scenario(sc);
+  EngineConfig config = built.config;
   config.record_trace = true;  // compare full transfer streams, not summaries
+  const std::shared_ptr<const scale::Topology>& topo = built.topology;
+  const scale::ScaleOptions& opt = built.options;
 
-  const std::shared_ptr<const scale::Topology> topo = make_scale_topology(sc);
-  const scale::ScaleOptions opt = make_scale_options(sc);
-
-  scale::Engine serial(config, topo, opt, sc.seed);
+  scale::Engine serial(config, topo, opt, s.seed);
   const RunResult r_serial = serial.run(1);
-  scale::Engine threaded(config, topo, opt, sc.seed);
+  scale::Engine threaded(config, topo, opt, s.seed);
   const RunResult r_threaded = threaded.run(4);
   if (const std::string d = diff_run_results(r_serial, r_threaded); !d.empty()) {
     return {false, "scale engine diverges between jobs=1 and jobs=4: " + d};
   }
 
-  auto mirrored = std::make_unique<scale::Engine>(config, topo, opt, sc.seed);
+  auto mirrored = std::make_unique<scale::Engine>(config, topo, opt, s.seed);
   scale::MirrorScheduler mirror(std::move(mirrored));
   Scheduler* scheduler = &mirror;
-  FaultyScheduler faulty(mirror, sc.n);
+  FaultyScheduler faulty(mirror, s.n);
   if (sc.fault == FaultKind::kSameTickForward) scheduler = &faulty;
 
-  const OracleReport report = differential_check(config, *scheduler, sc.mechanism);
+  const OracleReport report = differential_check(config, *scheduler, mechanism_spec(s));
   if (!report.ok) {
     return {false, "oracle disagreement (scale mirror): " + report.diagnosis};
   }
@@ -842,10 +625,9 @@ ScenarioOutcome run_scale_scenario(const Scenario& sc) {
 
   // Theorem 1: the scale engine is still a cooperative schedule; with unit
   // capacities it cannot beat k - 1 + ceil(log2 n).
-  const bool uniform_unit =
-      sc.upload == 1 && sc.server_upload <= 1 && sc.upload_caps.empty();
+  const bool uniform_unit = s.upload == 1 && s.servers <= 1 && sc.upload_caps.empty();
   if (r_serial.completed && uniform_unit && sc.departures.empty()) {
-    const Tick bound = cooperative_lower_bound(sc.n, sc.k);
+    const Tick bound = cooperative_lower_bound(s.n, s.k);
     if (r_serial.completion_tick < bound) {
       return {false, "beats Theorem 1: completed at tick " +
                          std::to_string(r_serial.completion_tick) +
@@ -861,7 +643,7 @@ ScenarioOutcome run_scale_scenario(const Scenario& sc) {
       !cert.ok) {
     return cert;
   }
-  if (sc.n <= 256) {
+  if (s.n <= 256) {
     const flow::CapacityShape shape = flow::CapacityShape::from_config(config);
     for (std::size_t t = 0; t < r_serial.trace.size(); ++t) {
       if (const auto diag = flow::tick_flow_feasible(shape, *topo, r_serial.trace[t])) {
@@ -876,8 +658,8 @@ ScenarioOutcome run_scale_scenario(const Scenario& sc) {
   // schedule under the 3-cycle ledger) achieves Theorem 1's bound exactly
   // at power-of-two n; the riffle must match the core scheduler's length,
   // which is Theorem 2's n + k - 2 whenever the last cycle is full.
-  if (sc.scheduler == SchedulerKind::kBinomialPipeline) {
-    const Tick want = cooperative_lower_bound(sc.n, sc.k);
+  if (s.algo == Algo::kBinomialPipeline) {
+    const Tick want = cooperative_lower_bound(s.n, s.k);
     if (!r_serial.completed || r_serial.completion_tick != want) {
       return {false, "scale binomial/triangular missed Theorem 1's k - 1 + "
                      "ceil(log2 n) = " + std::to_string(want) + " (got " +
@@ -886,8 +668,8 @@ ScenarioOutcome run_scale_scenario(const Scenario& sc) {
                               : "DNF") + ")"};
     }
   }
-  if (sc.scheduler == SchedulerKind::kRiffle) {
-    const Tick want = RifflePipelineScheduler(sc.n, sc.k, 1, 2).schedule_length();
+  if (s.algo == Algo::kRiffle) {
+    const Tick want = RifflePipelineScheduler(s.n, s.k, 1, 2).schedule_length();
     if (!r_serial.completed || r_serial.completion_tick != want) {
       return {false, "scale riffle missed the core schedule length " +
                          std::to_string(want) + " (got " +
@@ -895,8 +677,8 @@ ScenarioOutcome run_scale_scenario(const Scenario& sc) {
                               ? std::to_string(r_serial.completion_tick)
                               : "DNF") + ")"};
     }
-    if (sc.k % (sc.n - 1) == 0 &&
-        want != RifflePipelineScheduler::ideal_completion_time(sc.n, sc.k)) {
+    if (s.k % (s.n - 1) == 0 &&
+        want != RifflePipelineScheduler::ideal_completion_time(s.n, s.k)) {
       return {false, "scale riffle with full cycles missed Theorem 2's "
                      "n + k - 2"};
     }
@@ -910,14 +692,15 @@ ScenarioOutcome run_scale_scenario(const Scenario& sc) {
 /// recomputed independently from the log — and (b) agree with itself across
 /// job counts.
 ScenarioOutcome run_stream_scenario(const Scenario& sc) {
-  const StreamMirrorReport mirror = stream_mirror_check(make_stream_spec(sc), 1);
+  const scale::stream::StreamSpec built = build_scale_scenario(sc);
+  const StreamMirrorReport mirror = stream_mirror_check(built, 1);
   if (!mirror.ok) {
     return {false, "stream mirror (pob/async) disagrees: " + mirror.diagnosis};
   }
   const RunResult& r_serial = mirror.scale;  // recorded with record_trace on
 
   {
-    scale::stream::StreamSpec spec = make_stream_spec(sc);
+    scale::stream::StreamSpec spec = built;
     spec.config.record_trace = true;
     scale::stream::StreamEngine threaded(std::move(spec));
     const RunResult r4 = threaded.run(4);
@@ -932,10 +715,9 @@ ScenarioOutcome run_stream_scenario(const Scenario& sc) {
   // above the scalar config the certifier would read, so those scenarios
   // are excluded (certifying them against understated capacities would be
   // an unsound *upper* estimate of the bound).
-  if (sc.rate_class_count == 0) {
-    const scale::stream::StreamSpec spec = make_stream_spec(sc);
+  if (sc.spec.classes == 0) {
     if (const ScenarioOutcome cert = check_certificate_soundness(
-            sc, spec.config, *spec.topology, r_serial);
+            sc, built.config, *built.topology, r_serial);
         !cert.ok) {
       return cert;
     }
@@ -958,15 +740,16 @@ ScenarioOutcome run_stream_scenario(const Scenario& sc) {
 }  // namespace
 
 ScenarioOutcome run_scenario(const Scenario& sc) {
-  if (sc.stream) return run_stream_scenario(sc);
-  if (sc.engine == EngineKind::kScale) return run_scale_scenario(sc);
+  const scale::RunSpec& s = sc.spec;
+  if (s.engine == RunEngine::kStream) return run_stream_scenario(sc);
+  if (s.engine == RunEngine::kScale) return run_scale_scenario(sc);
   BuiltScenario built = build_scenario(sc);
-  Scheduler* scheduler = built.scheduler.get();
-  FaultyScheduler faulty(*built.scheduler, sc.n);
+  Scheduler* scheduler = built.run.scheduler.get();
+  FaultyScheduler faulty(*scheduler, s.n);
   if (sc.fault == FaultKind::kSameTickForward) scheduler = &faulty;
 
-  const OracleReport report =
-      differential_check(built.config, *scheduler, sc.mechanism, built.mechanism.get());
+  const OracleReport report = differential_check(built.config, *scheduler, mechanism_spec(s),
+                                                 built.run.mechanism.get());
   if (!report.ok) {
     return {false, "oracle disagreement: " + report.diagnosis};
   }
@@ -978,13 +761,12 @@ ScenarioOutcome run_scenario(const Scenario& sc) {
   }
 
   const RunResult& r = report.fast;
-  const bool uniform_unit = sc.upload == 1 && sc.server_upload <= 1 &&
-                            sc.upload_caps.empty();
+  const bool uniform_unit = s.upload == 1 && s.servers <= 1 && sc.upload_caps.empty();
 
   // Theorem 1: no cooperative schedule with unit capacities beats
   // k - 1 + ceil(log2 n).
   if (r.completed && uniform_unit && sc.departures.empty()) {
-    const Tick bound = cooperative_lower_bound(sc.n, sc.k);
+    const Tick bound = cooperative_lower_bound(s.n, s.k);
     if (r.completion_tick < bound) {
       return {false, "beats Theorem 1: completed at tick " +
                          std::to_string(r.completion_tick) + " < lower bound " +
@@ -992,38 +774,29 @@ ScenarioOutcome run_scenario(const Scenario& sc) {
     }
   }
 
-  // Certificate soundness. Core schedulers other than the overlay-driven
-  // randomized family ignore their sampled overlay (the rotating scheduler
-  // draws its own rotation graphs), so they certify against the complete
-  // topology — the only edge set that provably contains every transfer
-  // they plan.
-  {
-    const bool overlay_respected = is_randomized_family(sc.scheduler) &&
-                                   sc.scheduler != SchedulerKind::kRotating;
-    const std::shared_ptr<const scale::Topology> cert_topo =
-        overlay_respected
-            ? make_scale_topology(sc)
-            : std::make_shared<scale::Topology>(scale::Topology::complete(sc.n));
-    if (const ScenarioOutcome cert =
-            check_certificate_soundness(sc, built.config, *cert_topo, r);
-        !cert.ok) {
-      return cert;
-    }
+  // Certificate soundness. Core schedules that are not overlay-bound ignore
+  // their sampled overlay (the rotating scheduler draws its own rotation
+  // graphs), so build_topology certifies them against the complete graph —
+  // the only edge set that provably contains every transfer they plan.
+  if (const ScenarioOutcome cert = check_certificate_soundness(
+          sc, built.config, *scale::build_topology(s, s.seed), r);
+      !cert.ok) {
+    return cert;
   }
 
   // Closed forms for the deterministic schedules (no churn, no mechanism).
   const bool clean = sc.departures.empty() && !sc.depart_on_complete &&
-                     sc.mechanism.kind == MechanismSpec::Kind::kNone;
-  if (clean && sc.scheduler == SchedulerKind::kPipeline && sc.server_upload <= 1) {
-    const Tick want = pipeline_completion(sc.n, sc.k);
+                     s.mechanism == MechanismKind::kNone;
+  if (clean && s.algo == Algo::kPipeline && s.servers <= 1) {
+    const Tick want = pipeline_completion(s.n, s.k);
     if (!r.completed || r.completion_tick != want) {
       return {false, "pipeline missed its closed form k + n - 2 = " +
                          std::to_string(want) + " (got " +
                          (r.completed ? std::to_string(r.completion_tick) : "DNF") + ")"};
     }
   }
-  if (clean && sc.scheduler == SchedulerKind::kBinomialTree && sc.server_upload <= 1) {
-    const Tick want = binomial_tree_completion(sc.n, sc.k);
+  if (clean && s.algo == Algo::kBinomialTree && s.servers <= 1) {
+    const Tick want = binomial_tree_completion(s.n, s.k);
     if (!r.completed || r.completion_tick != want) {
       return {false, "binomial tree missed its closed form k*ceil(log2 n) = " +
                          std::to_string(want) + " (got " +
@@ -1032,10 +805,9 @@ ScenarioOutcome run_scenario(const Scenario& sc) {
   }
   // Theorem 3: the riffle pipeline with d = 2u and full cycles meets the
   // strict-barter lower bound k + n - 2 exactly (mechanism on or off).
-  if (sc.scheduler == SchedulerKind::kRiffle && sc.departures.empty() &&
-      sc.server_upload <= 1 && sc.upload == 1 && sc.download == 2 &&
-      sc.k % (sc.n - 1) == 0) {
-    const Tick want = RifflePipelineScheduler::ideal_completion_time(sc.n, sc.k);
+  if (s.algo == Algo::kRiffle && sc.departures.empty() && s.servers <= 1 &&
+      s.upload == 1 && s.download == 2 && s.k % (s.n - 1) == 0) {
+    const Tick want = RifflePipelineScheduler::ideal_completion_time(s.n, s.k);
     if (!r.completed || r.completion_tick != want) {
       return {false, "riffle missed Theorem 3's k + n - 2 = " + std::to_string(want) +
                          " (got " +
@@ -1044,7 +816,7 @@ ScenarioOutcome run_scenario(const Scenario& sc) {
   }
   // Deterministic schedules must complete outright when nothing departs.
   if (sc.departures.empty() && !sc.depart_on_complete &&
-      !is_randomized_family(sc.scheduler) && !r.completed) {
+      !is_randomized_family(s.algo) && !r.completed) {
     return {false, std::string("deterministic schedule did not complete (") +
                        (r.stalled ? "stalled" : "hit tick cap") + ")"};
   }

@@ -68,7 +68,7 @@
 // on its own. scale::MirrorScheduler replays the exact same plan/apply
 // semantics through core::Engine and the pob/check reference oracle, and
 // the scenario fuzzer cross-checks all three on overlapping n (see
-// pob/check/scenario.h, EngineKind::kScale).
+// pob/check/scenario.h, RunEngine::kScale).
 
 #pragma once
 

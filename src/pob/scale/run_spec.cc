@@ -2,11 +2,21 @@
 
 #include <charconv>
 #include <iterator>
+#include <sstream>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "pob/exp/parallel.h"
+#include "pob/rand/rotation.h"
+#include "pob/rand/tit_for_tat.h"
+#include "pob/sched/binomial_pipeline.h"
+#include "pob/sched/binomial_tree.h"
+#include "pob/sched/multi_server.h"
+#include "pob/sched/multicast_tree.h"
+#include "pob/sched/pipeline.h"
+#include "pob/sched/riffle_pipeline.h"
+#include "pob/sched/striped_trees.h"
 
 namespace pob::scale {
 namespace {
@@ -92,6 +102,18 @@ RunSpec parse_run_spec(const Args& args, const RunSpec& d) {
   return s;
 }
 
+RunSpec parse_run_spec(std::string_view flags, const RunSpec& defaults) {
+  std::vector<std::string> tokens{"run-spec"};
+  std::istringstream is{std::string(flags)};
+  for (std::string t; is >> t;) tokens.push_back(std::move(t));
+  std::vector<const char*> argv;
+  for (const std::string& t : tokens) argv.push_back(t.c_str());
+  const Args args(static_cast<int>(argv.size()), argv.data());
+  const RunSpec spec = parse_run_spec(args, defaults);
+  args.reject_unknown();
+  return spec;
+}
+
 std::string to_flags(const RunSpec& s) {
   std::string out = std::string("--engine=") + to_string(s.engine) +
                     " --algo=" + to_string(s.algo) + " --overlay=" + to_string(s.overlay) +
@@ -155,6 +177,67 @@ std::unique_ptr<Mechanism> build_mechanism(const RunSpec& s) {
   return nullptr;  // unreachable
 }
 
+BuiltScheduler build_scheduler(const RunSpec& s, const EngineConfig& cfg,
+                               std::uint64_t seed) {
+  const std::uint32_t n = s.n, k = s.k;
+  BuiltScheduler b;
+  b.mechanism = build_mechanism(s);
+  const bool prechecked = s.algo == Algo::kCreditRandomized || s.algo == Algo::kRotating;
+  if (prechecked && s.mechanism == MechanismKind::kStrict) {
+    throw std::invalid_argument(std::string("--algo=") + to_string(s.algo) +
+                                " prechecks --mechanism=credit|triangular|cyclic, not strict");
+  }
+  if (s.algo == Algo::kCreditRandomized && b.mechanism == nullptr) {
+    b.mechanism = std::make_unique<CreditLimited>(s.credit);
+  }
+  const Mechanism* precheck = prechecked ? b.mechanism.get() : nullptr;
+  RandomizedOptions opt;
+  opt.policy = s.policy;
+  opt.upload_capacity = cfg.upload_capacity;
+  opt.download_capacity = cfg.download_capacity;
+  opt.upload_capacities = cfg.upload_capacities;
+  opt.download_capacities = cfg.download_capacities;
+  Rng sched_rng = Rng(seed).split(1);  // the seed rule's scheduler stream
+  switch (s.algo) {
+    case Algo::kPipeline: b.scheduler = std::make_unique<PipelineScheduler>(n, k); break;
+    case Algo::kTree:
+      b.scheduler = std::make_unique<MulticastTreeScheduler>(n, k, s.arity);
+      break;
+    case Algo::kBinomialTree: b.scheduler = std::make_unique<BinomialTreeScheduler>(n, k); break;
+    case Algo::kBinomialPipeline:
+      b.scheduler = std::make_unique<BinomialPipelineScheduler>(n, k);
+      break;
+    case Algo::kMultiServer:
+      b.scheduler = std::make_unique<MultiServerScheduler>(n, k, cfg.server_upload_capacity);
+      break;
+    case Algo::kRiffle:
+      b.scheduler = std::make_unique<RifflePipelineScheduler>(n, k, cfg.upload_capacity,
+                                                              cfg.download_capacity);
+      break;
+    case Algo::kRandomized:
+    case Algo::kCreditRandomized:
+      b.scheduler = std::make_unique<RandomizedScheduler>(build_overlay(s, seed), opt,
+                                                          sched_rng, precheck);
+      break;
+    case Algo::kRotating:
+      b.scheduler = std::make_unique<RotatingRandomizedScheduler>(n, s.degree, s.period, opt,
+                                                                  sched_rng, precheck);
+      break;
+    case Algo::kTitForTat: {
+      TitForTatOptions tft;
+      tft.policy = s.policy;
+      tft.upload_capacity = cfg.upload_capacity;
+      tft.download_capacity = cfg.download_capacity;
+      b.scheduler = std::make_unique<TitForTatScheduler>(build_overlay(s, seed), tft, sched_rng);
+      break;
+    }
+    case Algo::kStripedTrees:
+      b.scheduler = std::make_unique<StripedTreesScheduler>(n, k, s.stripes);
+      break;
+  }
+  return b;
+}
+
 std::shared_ptr<const Overlay> build_overlay(const RunSpec& s, std::uint64_t seed) {
   Rng overlay_rng = Rng(seed).split(0);
   return make_overlay(s.overlay, s.n, s.degree, s.arity, overlay_rng);
@@ -171,17 +254,18 @@ ScaleOptions build_scale_options(const RunSpec& s) {
   opt.policy = s.policy;
   opt.max_probes = s.probes;
   const bool randomized = s.algo == Algo::kRandomized || s.algo == Algo::kCreditRandomized;
+  const bool credit = randomized && s.mechanism == MechanismKind::kCredit;
   const bool triangular =
       s.algo == Algo::kBinomialPipeline && s.mechanism == MechanismKind::kTriangular;
-  if (s.mechanism != MechanismKind::kNone && !triangular &&
-      !(randomized && s.mechanism == MechanismKind::kCredit)) {
+  const bool strict_riffle = s.algo == Algo::kRiffle && s.mechanism == MechanismKind::kStrict;
+  if (s.mechanism != MechanismKind::kNone && !credit && !triangular && !strict_riffle) {
     throw std::invalid_argument(
-        "the scale engine enforces --mechanism=credit under a randomized --algo and "
-        "--mechanism=triangular under binomial-pipeline, no other");
+        "the scale engine enforces --mechanism=credit under a randomized --algo, "
+        "--mechanism=triangular under binomial-pipeline and --mechanism=strict under "
+        "riffle, no other");
   }
-  if (s.algo == Algo::kCreditRandomized || s.mechanism != MechanismKind::kNone) {
-    opt.credit_limit = s.credit;
-  }
+  // The riffle is strict barter by construction and keeps no credit ledger.
+  if (s.algo == Algo::kCreditRandomized || credit || triangular) opt.credit_limit = s.credit;
   switch (s.algo) {
     case Algo::kRandomized:
     case Algo::kCreditRandomized: break;
@@ -199,8 +283,10 @@ ScaleOptions build_scale_options(const RunSpec& s) {
 }
 
 stream::StreamSpec build_stream_spec(const RunSpec& s, std::uint64_t seed) {
-  if (s.algo != Algo::kRandomized || s.mechanism != MechanismKind::kNone) {
-    throw std::invalid_argument("the stream engine runs --algo=randomized --mechanism=none");
+  if (s.algo != Algo::kRandomized ||
+      (s.mechanism != MechanismKind::kNone && s.mechanism != MechanismKind::kCredit)) {
+    throw std::invalid_argument(
+        "the stream engine runs --algo=randomized under --mechanism=none|credit");
   }
   stream::StreamSpec spec;
   spec.config = build_config(s);

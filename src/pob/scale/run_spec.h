@@ -17,8 +17,10 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "pob/core/engine.h"
+#include "pob/core/scheduler.h"
 #include "pob/exp/cli.h"
 #include "pob/mech/barter.h"
 #include "pob/overlay/builders.h"
@@ -131,6 +133,10 @@ inline constexpr RunSpec kStreamThroughputDefaults = [] {
 /// range, n < 2, k < 1 or runs < 1 — before anything is allocated.
 RunSpec parse_run_spec(const Args& args, const RunSpec& defaults);
 
+/// The same for a space-separated flag string such as to_flags prints; an
+/// unknown flag throws too.
+RunSpec parse_run_spec(std::string_view flags, const RunSpec& defaults);
+
 /// Every field as an explicit flag.
 std::string to_flags(const RunSpec& spec);
 
@@ -144,6 +150,22 @@ EngineConfig build_config(const RunSpec& spec);
 /// The core mechanism of --mechanism (nullptr for none).
 std::unique_ptr<Mechanism> build_mechanism(const RunSpec& spec);
 
+/// A core run's scheduler and the mechanism the engine enforces (nullptr
+/// for none). The scheduler may hold a precheck pointer into the mechanism,
+/// which is declared first so that it outlives the scheduler.
+struct BuiltScheduler {
+  std::unique_ptr<Mechanism> mechanism;
+  std::unique_ptr<Scheduler> scheduler;
+};
+
+/// The core scheduler of --algo for run `seed`, with the capacities (and
+/// any per-node capacity vectors) of `cfg`. credit-randomized and rotating
+/// precheck the --mechanism they run under (credit-randomized falls back to
+/// credit when it is none) and throw for strict; every other algo runs under
+/// build_mechanism's instance.
+BuiltScheduler build_scheduler(const RunSpec& spec, const EngineConfig& cfg,
+                               std::uint64_t seed);
+
 /// Run `seed`'s overlay, for the core engine's overlay-bound schedules.
 std::shared_ptr<const Overlay> build_overlay(const RunSpec& spec, std::uint64_t seed);
 
@@ -154,7 +176,8 @@ std::shared_ptr<const Topology> build_topology(const RunSpec& spec, std::uint64_
 /// Throws for an algo or mechanism the scale engine does not run.
 ScaleOptions build_scale_options(const RunSpec& spec);
 
-/// The stream layer's spec for run `seed` (--algo=randomized only).
+/// The stream layer's spec for run `seed` (--algo=randomized under
+/// --mechanism=none or credit).
 stream::StreamSpec build_stream_spec(const RunSpec& spec, std::uint64_t seed);
 
 }  // namespace pob::scale

@@ -186,7 +186,7 @@ TEST(GoldenCorpus, CommittedTracesReplayCleanThroughTheOracle) {
     std::istringstream is(slurp(entry.filename));
     const LoadedTrace trace = read_trace(is);
     const check::OracleReport report =
-        check::differential_replay(trace, entry.scenario.mechanism);
+        check::differential_replay(trace, check::mechanism_spec(entry.scenario.spec));
     EXPECT_TRUE(report.ok) << entry.filename << ": " << report.diagnosis;
     EXPECT_FALSE(report.violated)
         << entry.filename << ": " << report.violation_message;

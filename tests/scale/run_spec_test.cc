@@ -1,14 +1,14 @@
 // RunSpec: the one flag parser, printer and builder set behind pobsim,
-// scale_throughput and stream_throughput. parse(to_flags(s)) == s over the
-// whole enum grid, the core and scale builders walk identical neighbour
-// lists, each driver's defaults are pinned, and the same swarm named through
-// pobsim's and scale_throughput's defaults gives one digest.
+// scale_throughput, stream_throughput and the fuzzer. parse(to_flags(s)) ==
+// s over the whole enum grid, the core and scale builders walk identical
+// neighbour lists, each driver's defaults are pinned, the same swarm named
+// through pobsim's and scale_throughput's defaults gives one digest, and the
+// prechecked core schedules run the spec's mechanism.
 
 #include "pob/scale/run_spec.h"
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -19,22 +19,17 @@
 namespace pob::scale {
 namespace {
 
-/// Parses a space-separated flag string the way a shell would split it.
-RunSpec parse(const std::string& flags, const RunSpec& defaults) {
-  std::vector<std::string> tokens{"prog"};
-  std::istringstream is(flags);
-  for (std::string t; is >> t;) tokens.push_back(t);
-  std::vector<const char*> argv;
-  for (const std::string& t : tokens) argv.push_back(t.c_str());
-  const Args args(static_cast<int>(argv.size()), argv.data());
-  const RunSpec spec = parse_run_spec(args, defaults);
-  args.reject_unknown();  // the parser reads its whole vocabulary
-  return spec;
+/// The core engine's run 0 of `flags`, as pobsim runs it.
+std::uint64_t core_digest(const std::string& flags) {
+  const RunSpec s = parse_run_spec(flags, kPobsimDefaults);
+  const EngineConfig cfg = build_config(s);
+  const BuiltScheduler b = build_scheduler(s, cfg, run_seed(s, 0));
+  return check::run_result_digest(run(cfg, *b.scheduler, b.mechanism.get()));
 }
 
 std::string parse_error(const std::string& flags) {
   try {
-    parse(flags, kPobsimDefaults);
+    parse_run_spec(flags, kPobsimDefaults);
   } catch (const std::invalid_argument& e) {
     return e.what();
   }
@@ -61,9 +56,9 @@ TEST(RunSpec, ParseOfToFlagsRoundTripsOverTheEnumGrid) {
             s.policy = i % 2 == 0 ? BlockPolicy::kRandom : BlockPolicy::kRarestFirst;
             s.seed = i % 4 == 0 ? ~std::uint64_t{0} : trial_seed(i, 0);
             s.n = 2 + i;
-            ASSERT_EQ(parse(to_flags(s), RunSpec{}), s) << to_flags(s);
+            ASSERT_EQ(parse_run_spec(to_flags(s), RunSpec{}), s) << to_flags(s);
             // Defaults do not leak into an explicit spec.
-            ASSERT_EQ(parse(to_flags(s), kStreamThroughputDefaults), s);
+            ASSERT_EQ(parse_run_spec(to_flags(s), kStreamThroughputDefaults), s);
           }
         }
       }
@@ -126,18 +121,18 @@ TEST(RunSpec, EachDriversDefaultSpecIsPinned) {
             "--interval=1 --slack=2 --runs=1 --download=unlimited --leave-pct=0 "
             "--deadlines=false --seed=1");
   // No flags at all parse to the defaults.
-  EXPECT_EQ(parse("", kScaleThroughputDefaults), kScaleThroughputDefaults);
+  EXPECT_EQ(parse_run_spec("", kScaleThroughputDefaults), kScaleThroughputDefaults);
 }
 
 TEST(RunSpec, PobsimAndScaleThroughputBuildOneSwarmForOneSpec) {
   // The 4096 x 32 random 16-regular swarm, named through each driver's
   // defaults, is one swarm under the shared seed rule.
-  const RunSpec via_pobsim = parse(
+  const RunSpec via_pobsim = parse_run_spec(
       "--engine=scale --algo=randomized --overlay=regular --degree=16 --n=4096 --k=32 "
       "--seed=1",
       kPobsimDefaults);
-  const RunSpec via_bench = parse("--n=4096 --k=32 --degree=16 --seed=1",
-                                  kScaleThroughputDefaults);
+  const RunSpec via_bench =
+      parse_run_spec("--n=4096 --k=32 --degree=16 --seed=1", kScaleThroughputDefaults);
   const auto digest = [](const RunSpec& s) {
     const std::uint64_t seed = run_seed(s, 0);
     Engine engine(build_config(s), build_topology(s, seed), build_scale_options(s), seed);
@@ -160,8 +155,8 @@ TEST(RunSpec, RejectsOutOfRangeIntegersByName) {
   EXPECT_NE(parse_error("--k=0").find("--k"), std::string::npos);
   EXPECT_NE(parse_error("--runs=0").find("--runs"), std::string::npos);
   EXPECT_NE(parse_error("--leave-pct=101").find("--leave-pct"), std::string::npos);
-  EXPECT_EQ(parse("--degree=4294967295", kPobsimDefaults).degree, 4294967295u);
-  EXPECT_EQ(parse("--seed=18446744073709551615", kPobsimDefaults).seed,
+  EXPECT_EQ(parse_run_spec("--degree=4294967295", kPobsimDefaults).degree, 4294967295u);
+  EXPECT_EQ(parse_run_spec("--seed=18446744073709551615", kPobsimDefaults).seed,
             ~std::uint64_t{0});
 }
 
@@ -171,6 +166,7 @@ TEST(RunSpec, RejectsUnknownValuesListingTheVocabulary) {
   EXPECT_NE(parse_error("--arrivals=flash-crowd").find("batch | poisson | flash | burst"),
             std::string::npos);
   EXPECT_NE(parse_error("--deadlines=maybe").find("--deadlines"), std::string::npos);
+  EXPECT_NE(parse_error("--degre=4").find("unknown flag --degre"), std::string::npos);
 }
 
 TEST(RunSpec, BuildersRejectRunsTheirEngineCannotRepresent) {
@@ -184,12 +180,30 @@ TEST(RunSpec, BuildersRejectRunsTheirEngineCannotRepresent) {
   riffle_credit.algo = Algo::kRiffle;
   riffle_credit.mechanism = MechanismKind::kCredit;
   EXPECT_THROW(build_scale_options(riffle_credit), std::invalid_argument);
+  riffle_credit.mechanism = MechanismKind::kStrict;  // strict barter by construction
+  EXPECT_EQ(build_scale_options(riffle_credit).credit_limit, 0u);
   RunSpec randomized_triangular;
   randomized_triangular.mechanism = MechanismKind::kTriangular;
   EXPECT_THROW(build_scale_options(randomized_triangular), std::invalid_argument);
   RunSpec binomial_stream;
   binomial_stream.algo = Algo::kBinomialPipeline;
   EXPECT_THROW(build_stream_spec(binomial_stream, 1), std::invalid_argument);
+}
+
+TEST(RunSpec, PrecheckedSchedulesRunTheSpecsMechanism) {
+  // The schedules that precheck a barter mechanism run the one --mechanism
+  // names; credit-randomized falls back to credit, and strict is refused.
+  const std::string randomized =
+      "--algo=credit-randomized --overlay=regular --degree=8 --n=64 --k=32 --policy=rarest";
+  EXPECT_EQ(core_digest(randomized), core_digest(randomized + " --mechanism=credit"));
+  EXPECT_NE(core_digest(randomized + " --mechanism=credit"),
+            core_digest(randomized + " --mechanism=cyclic"));
+  const std::string rotating =
+      "--algo=rotating --overlay=regular --degree=8 --n=64 --k=32 --runs=3 --policy=rarest";
+  EXPECT_EQ(core_digest(rotating + " --mechanism=credit"), 0xc79ba5c4c4d4e485ULL);
+  EXPECT_NE(core_digest(rotating), core_digest(rotating + " --mechanism=credit"));
+  EXPECT_THROW(core_digest(randomized + " --mechanism=strict"), std::invalid_argument);
+  EXPECT_THROW(core_digest(rotating + " --mechanism=strict"), std::invalid_argument);
 }
 
 TEST(RunSpec, ConfigRulesForRiffleMultiServerCreditAndTriangular) {

@@ -27,6 +27,7 @@
 #include <chrono>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -91,14 +92,12 @@ int main(int argc, char** argv) {
                 << " (known: same-tick-forward)\n";
       return 2;
     }
-    EngineFilter engines = EngineFilter::kMixed;
-    if (engine == "core") {
-      engines = EngineFilter::kCoreOnly;
-    } else if (engine == "scale") {
-      engines = EngineFilter::kScaleOnly;
-    } else if (engine == "stream") {
-      engines = EngineFilter::kStreamOnly;
-    } else if (engine != "mixed") {
+    std::optional<scale::RunEngine> engines;  // mixed
+    for (const auto e : {scale::RunEngine::kCore, scale::RunEngine::kScale,
+                         scale::RunEngine::kStream}) {
+      if (engine == scale::to_string(e)) engines = e;
+    }
+    if (!engines && engine != "mixed") {
       std::cerr << "pobfuzz: unknown --engine=" << engine
                 << " (known: core, scale, stream, mixed)\n";
       return 2;

@@ -31,9 +31,12 @@
 //   --overlay    complete | regular | hypercube | ring | karytree [complete],
 //                for randomized, credit-randomized and tit-for-tat; every
 //                other algo runs on the complete graph
-//   --mechanism  none | strict | credit | triangular | cyclic [none]; the
-//                scale engine runs credit (randomized) and triangular
-//                (binomial-pipeline: §3.3's triangular barter)
+//   --mechanism  none | strict | credit | triangular | cyclic [none]. The core
+//                engine enforces it on every algo; credit-randomized and
+//                rotating also precheck it (credit-randomized runs credit
+//                when it is none; strict exits 2). The scale engine runs
+//                credit (randomized), triangular (binomial-pipeline: §3.3's
+//                triangular barter) and strict (riffle); stream runs credit
 //   --degree [20] --arity [2] --credit [1] --cycle-len [4] --n [64] --k [32]
 //   --upload [1] --download [unlimited] --servers [0 = --upload; multi-server
 //   m = 2] --cap [0 = default] --stall-window [0 = off] --leave-pct [0]
@@ -64,18 +67,7 @@
 #include "pob/exp/table.h"
 #include "pob/exp/trace_io.h"
 #include "pob/flow/certify.h"
-#include "pob/mech/barter.h"
-#include "pob/rand/randomized.h"
-#include "pob/rand/rotation.h"
-#include "pob/rand/tit_for_tat.h"
 #include "pob/scale/run_spec.h"
-#include "pob/sched/binomial_pipeline.h"
-#include "pob/sched/binomial_tree.h"
-#include "pob/sched/multi_server.h"
-#include "pob/sched/multicast_tree.h"
-#include "pob/sched/pipeline.h"
-#include "pob/sched/riffle_pipeline.h"
-#include "pob/sched/striped_trees.h"
 
 namespace pob {
 namespace {
@@ -83,67 +75,6 @@ namespace {
 using scale::Algo;
 using scale::RunEngine;
 using scale::RunSpec;
-
-/// One core-engine trial: the spec's scheduler (and mechanism) on run
-/// `seed`'s overlay.
-RunResult run_core(const RunSpec& spec, const EngineConfig& cfg, std::uint64_t seed) {
-  const std::uint32_t n = spec.n, k = spec.k;
-  std::unique_ptr<Mechanism> mech = scale::build_mechanism(spec);
-  RandomizedOptions opt;
-  opt.policy = spec.policy;
-  opt.upload_capacity = cfg.upload_capacity;
-  opt.download_capacity = cfg.download_capacity;
-  Rng sched_rng = Rng(seed).split(1);  // the seed rule's scheduler stream
-  std::unique_ptr<Scheduler> sched;
-  switch (spec.algo) {
-    case Algo::kPipeline: sched = std::make_unique<PipelineScheduler>(n, k); break;
-    case Algo::kTree:
-      sched = std::make_unique<MulticastTreeScheduler>(n, k, spec.arity);
-      break;
-    case Algo::kBinomialTree: sched = std::make_unique<BinomialTreeScheduler>(n, k); break;
-    case Algo::kBinomialPipeline:
-      sched = std::make_unique<BinomialPipelineScheduler>(n, k);
-      break;
-    case Algo::kMultiServer:
-      sched = std::make_unique<MultiServerScheduler>(n, k, cfg.server_upload_capacity);
-      break;
-    case Algo::kRiffle:
-      sched = std::make_unique<RifflePipelineScheduler>(n, k, cfg.upload_capacity,
-                                                        cfg.download_capacity);
-      break;
-    case Algo::kRandomized:
-      sched = std::make_unique<RandomizedScheduler>(scale::build_overlay(spec, seed), opt,
-                                                    sched_rng);
-      break;
-    case Algo::kCreditRandomized: {
-      auto credit = std::make_unique<CreditLimited>(spec.credit);
-      sched = std::make_unique<RandomizedScheduler>(scale::build_overlay(spec, seed), opt,
-                                                    sched_rng, credit.get());
-      mech = std::move(credit);
-      break;
-    }
-    case Algo::kTitForTat: {
-      TitForTatOptions tft;
-      tft.policy = opt.policy;
-      tft.upload_capacity = opt.upload_capacity;
-      tft.download_capacity = opt.download_capacity;
-      sched = std::make_unique<TitForTatScheduler>(scale::build_overlay(spec, seed), tft,
-                                                   sched_rng);
-      break;
-    }
-    case Algo::kStripedTrees:
-      sched = std::make_unique<StripedTreesScheduler>(n, k, spec.stripes);
-      break;
-    case Algo::kRotating: {
-      auto credit = std::make_unique<CreditLimited>(spec.credit);
-      sched = std::make_unique<RotatingRandomizedScheduler>(n, spec.degree, spec.period,
-                                                            opt, sched_rng, credit.get());
-      mech = std::move(credit);
-      break;
-    }
-  }
-  return run(cfg, *sched, mech.get());
-}
 
 /// The --certify report: the pob/flow lower-bound oracle evaluated on the
 /// exact scenario just simulated. T* is sound for every legal schedule of
@@ -212,7 +143,8 @@ int main_impl(int argc, char** argv) {
     const std::uint64_t seed = scale::run_seed(spec, i);
     RunResult r;
     if (spec.engine == RunEngine::kCore) {
-      r = run_core(spec, cfg, seed);
+      const scale::BuiltScheduler core = scale::build_scheduler(spec, cfg, seed);
+      r = run(cfg, *core.scheduler, core.mechanism.get());
     } else if (spec.engine == RunEngine::kScale) {
       scale::Engine engine(cfg, scale::build_topology(spec, seed),
                            scale::build_scale_options(spec), seed);
