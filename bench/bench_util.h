@@ -224,7 +224,9 @@ struct SweepPoint {
   double node_ticks_per_sec = 0.0;
   double transfers_per_sec = 0.0;
   scale::PhaseTimings phases;
-  std::uint64_t state_bytes = 0;
+  std::uint64_t state_bytes = 0;      // sampled before run()
+  std::uint64_t state_bytes_end = 0;  // and after it: ledger and tick scratch grow
+  std::uint64_t ledger_pairs = 0;     // nonzero credit pairs after the run
   std::uint64_t digest = 0;
 };
 
@@ -248,7 +250,13 @@ std::vector<SweepPoint> run_sweep(const std::vector<unsigned>& sweep, std::uint3
     const auto t1 = std::chrono::steady_clock::now();
     p.result = engine->run(jobs);
     p.run_seconds = since(t1);
+    p.state_bytes_end = engine->state_bytes();
     if constexpr (requires { engine->phase_timings(); }) p.phases = engine->phase_timings();
+    if constexpr (requires { engine->credit_pairs(); }) {
+      p.ledger_pairs = engine->credit_pairs();
+    } else {
+      p.ledger_pairs = engine->engine().credit_pairs();  // a StreamEngine
+    }
     p.digest = check::run_result_digest(p.result);
     if (p.run_seconds > 0.0) {
       const std::uint64_t node_ticks = std::uint64_t{n} * p.result.ticks_executed;
@@ -306,7 +314,7 @@ inline void add_sweep_fields(JsonReport& json, const std::vector<SweepPoint>& po
           .num("phase_merge_seconds" + j, p.phases.merge_seconds)
           .num("phase_apply_seconds" + j, p.phases.apply_seconds);
     }
-    json.count("digest" + j, p.digest);
+    json.count("ledger_pairs" + j, p.ledger_pairs).count("digest" + j, p.digest);
   }
 }
 

@@ -98,7 +98,9 @@ int main_impl(int argc, char** argv) {
     return table;
   }());
   std::cout << "# graph build " << fmt(topo_seconds, 2) << " s, state "
-            << head.state_bytes / (1024 * 1024) << " MiB, peak rss "
+            << head.state_bytes / (1024 * 1024) << " MiB ("
+            << head.state_bytes_end / (1024 * 1024) << " MiB after the run, "
+            << head.ledger_pairs << " ledger pairs), peak rss "
             << rss_kb / 1024 << " MiB\n";
 
   // The E24 comparison row: completion against the Theorem 1 cooperative
@@ -158,6 +160,8 @@ int main_impl(int argc, char** argv) {
       .num("phase_merge_seconds", head.phases.merge_seconds)
       .num("phase_apply_seconds", head.phases.apply_seconds)
       .count("state_bytes", head.state_bytes)
+      .count("state_bytes_end", head.state_bytes_end)
+      .count("ledger_pairs", head.ledger_pairs)
       .count("peak_rss_kb", rss_kb)
       .count("digest", head.digest);
   bench::add_host_fields(json);

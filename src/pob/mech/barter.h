@@ -22,7 +22,7 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
+#include <vector>
 
 #include "pob/core/mechanism.h"
 #include "pob/core/types.h"
@@ -31,32 +31,62 @@ namespace pob {
 
 /// Pairwise net-transfer ledger between clients. Positive net(u, v) means u
 /// has sent more blocks to v than it received back.
+///
+/// Holds only what is owed: a flat open-addressed table (power-of-two
+/// capacity, linear probing, splitmix64 hash, grown at a load of 3/4) of
+/// the pairs whose net is nonzero. A record() that brings a pair back to 0
+/// erases it by backward-shift deletion, so an absent pair and a settled
+/// one read the same. Ledger size follows the debt outstanding, not the
+/// number of pairs that ever traded.
 class CreditLedger {
  public:
+  /// A client pair whose net would leave [-limit, limit] (see first_excess).
+  struct Excess {
+    NodeId lo;
+    NodeId hi;
+    std::int64_t end_net;  ///< net lo -> hi after the tick
+  };
+
   /// Net blocks sent from `from` to `to` minus blocks received back.
   std::int64_t net(NodeId from, NodeId to) const;
 
-  /// Records one block sent from `from` to `to`.
+  /// Records one block sent from `from` to `to` (two distinct clients).
   void record(NodeId from, NodeId to);
 
-  std::size_t num_pairs() const { return balance_.size(); }
+  /// Nets one tick's client->client `transfers` (server uploads skipped)
+  /// per pair and returns the lowest (lo, hi) pair whose end-of-tick net
+  /// would exceed `limit` in either direction; nullopt when none does.
+  /// Reciprocal transfers within the tick cancel.
+  std::optional<Excess> first_excess(std::span<const Transfer> transfers,
+                                     std::uint32_t limit) const;
 
-  /// Estimated heap bytes held by the ledger: one hash node (key, value,
-  /// next pointer) per pair plus the bucket array. Close enough for the
-  /// state accounting benches report; the map's exact node layout is
-  /// implementation-defined.
-  std::uint64_t memory_bytes() const {
-    return balance_.size() *
-               (sizeof(std::uint64_t) + sizeof(std::int64_t) + sizeof(void*)) +
-           balance_.bucket_count() * sizeof(void*);
-  }
+  /// Pairs with a nonzero net.
+  std::size_t num_pairs() const { return size_; }
+
+  /// Heap bytes held by the ledger, exactly: the slot array.
+  std::uint64_t memory_bytes() const { return slots_.size() * sizeof(Slot); }
 
  private:
+  // Keyed on (min << 32) | max; net is from min-id to max-id. min < max, so
+  // no pair has the all-ones key and it marks an empty slot.
+  struct Slot {
+    std::uint64_t key;
+    std::int64_t net;
+  };
+  static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+
   static std::uint64_t key(NodeId a, NodeId b) {
     return (static_cast<std::uint64_t>(a) << 32) | b;
   }
-  // Keyed on (min, max); value is net from min-id to max-id.
-  std::unordered_map<std::uint64_t, std::int64_t> balance_;
+  /// The slot holding `k`, or the empty slot that ends its probe chain.
+  /// Requires a nonempty table.
+  std::size_t find(std::uint64_t k) const;
+  void grow();
+  /// Empties slot i and shifts later members of its chain back into place.
+  void erase_at(std::size_t i);
+
+  std::vector<Slot> slots_;  // empty, or a power-of-two count
+  std::size_t size_ = 0;     // occupied slots
 };
 
 /// §3.1 strict barter: within a tick, client->client transfers must form

@@ -1,17 +1,9 @@
 #include <sstream>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "pob/mech/barter.h"
 
 namespace pob {
-namespace {
-
-std::uint64_t ordered_key(NodeId a, NodeId b) {
-  return (static_cast<std::uint64_t>(a) << 32) | b;
-}
-
-}  // namespace
 
 CreditLimited::CreditLimited(std::uint32_t credit_limit) : credit_limit_(credit_limit) {
   if (credit_limit_ < 1) {
@@ -22,31 +14,16 @@ CreditLimited::CreditLimited(std::uint32_t credit_limit) : credit_limit_(credit_
 std::optional<std::string> CreditLimited::check_tick(Tick /*tick*/,
                                                      std::span<const Transfer> transfers,
                                                      const SwarmState& /*state*/) {
-  // Net deltas for this tick, keyed on the ordered (min,max) pair with the
-  // same sign convention as the ledger.
-  std::unordered_map<std::uint64_t, std::int64_t> delta;
   for (const Transfer& tr : transfers) {
-    if (tr.from == kServer) continue;
-    if (tr.to == kServer) {
+    if (tr.from != kServer && tr.to == kServer) {
       return "client " + std::to_string(tr.from) + " uploads to the server";
     }
-    if (tr.from < tr.to) {
-      delta[ordered_key(tr.from, tr.to)] += 1;
-    } else {
-      delta[ordered_key(tr.to, tr.from)] -= 1;
-    }
   }
-  for (const auto& [k, d] : delta) {
-    const auto lo = static_cast<NodeId>(k >> 32);
-    const auto hi = static_cast<NodeId>(k & 0xffffffffULL);
-    const std::int64_t end = ledger_.net(lo, hi) + d;  // net lo -> hi after tick
-    const std::int64_t limit = static_cast<std::int64_t>(credit_limit_);
-    if (end > limit || -end > limit) {
-      std::ostringstream os;
-      os << "credit limit " << credit_limit_ << " exceeded between clients " << lo
-         << " and " << hi << " (end-of-tick net " << end << ")";
-      return os.str();
-    }
+  if (const auto excess = ledger_.first_excess(transfers, credit_limit_)) {
+    std::ostringstream os;
+    os << "credit limit " << credit_limit_ << " exceeded between clients " << excess->lo
+       << " and " << excess->hi << " (end-of-tick net " << excess->end_net << ")";
+    return os.str();
   }
   return std::nullopt;
 }

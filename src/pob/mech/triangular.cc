@@ -6,13 +6,6 @@
 #include "pob/mech/barter.h"
 
 namespace pob {
-namespace {
-
-std::uint64_t ordered_key(NodeId a, NodeId b) {
-  return (static_cast<std::uint64_t>(a) << 32) | b;
-}
-
-}  // namespace
 
 CyclicBarter::CyclicBarter(std::uint32_t max_cycle_len, std::uint32_t credit_limit)
     : max_cycle_len_(max_cycle_len), credit_limit_(credit_limit) {
@@ -84,27 +77,16 @@ std::optional<std::string> CyclicBarter::check_tick(Tick /*tick*/,
   std::vector<char> cleared;
   if (auto err = classify(transfers, cleared)) return err;
   // Uncleared transfers must fit within the pairwise credit limit.
-  std::unordered_map<std::uint64_t, std::int64_t> delta;
+  std::vector<Transfer> uncleared;
   for (std::uint32_t i = 0; i < transfers.size(); ++i) {
-    if (cleared[i]) continue;
-    const Transfer& tr = transfers[i];
-    if (tr.from < tr.to) {
-      delta[ordered_key(tr.from, tr.to)] += 1;
-    } else {
-      delta[ordered_key(tr.to, tr.from)] -= 1;
-    }
+    if (!cleared[i]) uncleared.push_back(transfers[i]);
   }
-  for (const auto& [k, d] : delta) {
-    const auto lo = static_cast<NodeId>(k >> 32);
-    const auto hi = static_cast<NodeId>(k & 0xffffffffULL);
-    const std::int64_t end = ledger_.net(lo, hi) + d;
-    const std::int64_t limit = static_cast<std::int64_t>(credit_limit_);
-    if (end > limit || -end > limit) {
-      std::ostringstream os;
-      os << "credit limit " << credit_limit_ << " exceeded between clients " << lo
-         << " and " << hi << " outside barter cycles (end-of-tick net " << end << ")";
-      return os.str();
-    }
+  if (const auto excess = ledger_.first_excess(uncleared, credit_limit_)) {
+    std::ostringstream os;
+    os << "credit limit " << credit_limit_ << " exceeded between clients " << excess->lo
+       << " and " << excess->hi << " outside barter cycles (end-of-tick net "
+       << excess->end_net << ")";
+    return os.str();
   }
   return std::nullopt;
 }

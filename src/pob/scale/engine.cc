@@ -1093,7 +1093,7 @@ void Engine::apply_merged(Tick tick, std::span<const Transfer> accepted,
         lo, accepted.end(), [&](const Transfer& t) { return t.from < last; });
     for (auto it = lo; it != hi; ++it) ++uploads_per_node_[it->from];
     if (opt_.credit_limit == 0) return;
-    CreditLedger& ledger = ledgers_[r];
+    CreditLedger& ledger = ledgers_[r].ledger;
     for (std::uint32_t i = bucket_offsets_[r]; i < bucket_offsets_[r + 1]; ++i) {
       const Transfer& tr = bucket_[i].tr;
       if (tr.to < tr.from && accept_[bucket_[i].idx] != 0) ledger.record(tr.from, tr.to);
@@ -1284,6 +1284,12 @@ RunResult Engine::run(unsigned jobs) {
   return result;
 }
 
+std::uint64_t Engine::credit_pairs() const {
+  std::uint64_t pairs = 0;
+  for (const LedgerShard& shard : ledgers_) pairs += shard.ledger.num_pairs();
+  return pairs;
+}
+
 std::uint64_t Engine::state_bytes() const {
   std::uint64_t bytes = bits_.size() * sizeof(std::uint64_t);
   bytes += (summary_has_.size() + summary_missing_.size()) * sizeof(std::uint64_t);
@@ -1322,7 +1328,7 @@ std::uint64_t Engine::state_bytes() const {
   bytes += leaving_.capacity() * sizeof(NodeId);
   bytes += accepted_.capacity() * sizeof(Transfer);
   bytes += departures_.capacity() * sizeof(std::pair<Tick, NodeId>);
-  for (const CreditLedger& ledger : ledgers_) bytes += ledger.memory_bytes();
+  for (const LedgerShard& shard : ledgers_) bytes += shard.ledger.memory_bytes();
   bytes += topo_->memory_bytes();
   return bytes;
 }

@@ -268,6 +268,9 @@ class Engine {
   std::int64_t credit_net(NodeId from, NodeId to) const {
     return ledger_of(from, to).net(from, to);
   }
+  /// Client pairs with a nonzero credit net, over every ledger shard (0
+  /// outside credit mode).
+  std::uint64_t credit_pairs() const;
 
   bool is_active(NodeId node) const { return active_[node] != 0; }
   bool is_complete(NodeId node) const { return count_[node] >= k_; }
@@ -443,10 +446,10 @@ class Engine {
 
   /// The ledger shard holding pair {a, b}: the receiver shard of min(a, b).
   CreditLedger& ledger_of(NodeId a, NodeId b) {
-    return ledgers_[recv_shard_of(std::min(a, b))];
+    return ledgers_[recv_shard_of(std::min(a, b))].ledger;
   }
   const CreditLedger& ledger_of(NodeId a, NodeId b) const {
-    return ledgers_[recv_shard_of(std::min(a, b))];
+    return ledgers_[recv_shard_of(std::min(a, b))].ledger;
   }
 
   /// Most intents sender u can emit in one tick at upload capacity `up`:
@@ -590,8 +593,13 @@ class Engine {
   std::uint64_t active_slots_ = 0;
   // §3.2 pairwise net-transfer ledger (credit mode), one per receiver
   // shard: pair {u, v} lives in the shard of min(u, v), so the sharded
-  // apply records it without a lock (see ledger_of).
-  std::vector<CreditLedger> ledgers_;
+  // apply records it without a lock (see ledger_of). Each ledger has a
+  // cache line to itself: every record() writes its size, and neighbouring
+  // shards commit on different threads.
+  struct alignas(64) LedgerShard {
+    CreditLedger ledger;
+  };
+  std::vector<LedgerShard> ledgers_;
 
   // Receiver shards: contiguous node-id ranges of width recv_width_ (a
   // power of two, so the merge's three million-intent passes shard with a

@@ -90,5 +90,18 @@ TEST(CreditLimited, ChecksWholeTickNet) {
   EXPECT_TRUE(mech.check_tick(2, tick, s).has_value());
 }
 
+TEST(CreditLimited, ReportsTheLowestViolatingPair) {
+  CreditLimited mech(1);
+  const SwarmState s = rich_state();
+  // Pairs {2, 3} and {1, 2} both overdraw; the report names {1, 2} however
+  // the tick lists them.
+  const std::vector<Transfer> high_first = {{2, 3, 1}, {2, 3, 2}, {2, 1, 3}, {2, 1, 4}};
+  const std::vector<Transfer> low_first = {{2, 1, 3}, {2, 1, 4}, {2, 3, 1}, {2, 3, 2}};
+  for (const auto& tick : {high_first, low_first}) {
+    EXPECT_EQ(mech.check_tick(2, tick, s),
+              "credit limit 1 exceeded between clients 1 and 2 (end-of-tick net -2)");
+  }
+}
+
 }  // namespace
 }  // namespace pob

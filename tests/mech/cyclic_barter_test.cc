@@ -67,6 +67,20 @@ TEST(CyclicBarter, LoneTransferUsesCredit) {
   EXPECT_TRUE(mech.check_tick(3, lone, s).has_value());
 }
 
+TEST(CyclicBarter, ReportsTheLowestViolatingPair) {
+  CyclicBarter mech = make_triangular_barter(1);
+  const SwarmState s = seeded_state();
+  // No cycles: pairs {4, 5} and {1, 3} both overdraw; the report names
+  // {1, 3} however the tick lists them.
+  const std::vector<Transfer> high_first = {{4, 5, 4}, {4, 5, 1}, {1, 3, 1}, {1, 3, 2}};
+  const std::vector<Transfer> low_first = {{1, 3, 1}, {1, 3, 2}, {4, 5, 4}, {4, 5, 1}};
+  for (const auto& tick : {high_first, low_first}) {
+    EXPECT_EQ(mech.check_tick(2, tick, s),
+              "credit limit 1 exceeded between clients 1 and 3 outside barter cycles "
+              "(end-of-tick net 2)");
+  }
+}
+
 TEST(CyclicBarter, ServerExemptAndNoUploadsToServer) {
   CyclicBarter mech = make_triangular_barter(1);
   const SwarmState s = seeded_state();

@@ -1,9 +1,10 @@
 // The credit ledger the sharded apply commits must be exactly the ledger of
 // the accepted stream. Under kTriangularBarter the schedule never reads the
 // ledger, so a dropped or mis-sharded record would leave every digest pin
-// unchanged; these tests replay each tick's accepted transfers into a plain
-// CreditLedger and require the engine's credit_net to match it for every
-// pair, in both orientations — at jobs 1 and 4.
+// unchanged; these tests replay each tick's accepted transfers into a
+// std::map and require the engine's credit_net to match it for every pair,
+// in both orientations, and the engine to hold exactly the replay's
+// nonzero pairs (credit_pairs) — at jobs 1 and 4.
 //
 // Each swarm spans several receiver shards, and both halves of the sharded
 // commit are exercised: transfers whose receiver is the lower id and
@@ -15,13 +16,12 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <span>
-#include <unordered_set>
 #include <utility>
 
 #include "pob/exp/parallel.h"
-#include "pob/mech/barter.h"
 #include "pob/overlay/builders.h"
 #include "pob/scale/engine.h"
 
@@ -30,14 +30,33 @@ namespace {
 
 struct LedgerAudit {
   std::uint64_t ticks = 0;
-  std::uint64_t pairs = 0;
+  std::uint64_t pairs = 0;           // pairs that ever traded
+  std::uint64_t nonzero_pairs = 0;   // pairs with a nonzero net at the end
   std::uint64_t lower_sender = 0;    // client transfers with from < to
   std::uint64_t lower_receiver = 0;  // client transfers with to < from
 };
 
+/// An independent replay of the accepted stream: net lo -> hi per pair
+/// {lo, hi} that ever traded, kept when it returns to 0.
+class ReplayLedger {
+ public:
+  void record(NodeId from, NodeId to) {
+    nets_[{std::min(from, to), std::max(from, to)}] += from < to ? 1 : -1;
+  }
+  std::int64_t net(NodeId from, NodeId to) const {
+    const auto it = nets_.find({std::min(from, to), std::max(from, to)});
+    if (it == nets_.end()) return 0;
+    return from < to ? it->second : -it->second;
+  }
+  const std::map<std::pair<NodeId, NodeId>, std::int64_t>& nets() const { return nets_; }
+
+ private:
+  std::map<std::pair<NodeId, NodeId>, std::int64_t> nets_;
+};
+
 /// Requires the engine's ledger to equal `replay` on pair {a, b}, both ways.
 ::testing::AssertionResult pair_matches(const Engine& engine,
-                                        const CreditLedger& replay, NodeId a,
+                                        const ReplayLedger& replay, NodeId a,
                                         NodeId b, std::uint64_t tick) {
   for (const auto& [from, to] : {std::pair{a, b}, std::pair{b, a}}) {
     if (engine.credit_net(from, to) != replay.net(from, to)) {
@@ -53,22 +72,18 @@ struct LedgerAudit {
 /// Steps `engine` on a pool of `jobs` workers until every node completes or
 /// `max_ticks` pass, replaying each accepted transfer into a reference
 /// ledger. After every tick the pairs that tick touched are compared; at
-/// the end, every pair seen in the run.
+/// the end, every pair seen in the run, and the engine must hold exactly
+/// the replay's nonzero pairs.
 LedgerAudit audit_ledger(Engine& engine, unsigned jobs, Tick max_ticks) {
   ThreadPool pool(jobs);
-  CreditLedger replay;
-  std::unordered_set<std::uint64_t> seen;
+  ReplayLedger replay;
   LedgerAudit audit;
-  const auto key = [](NodeId a, NodeId b) {
-    return (static_cast<std::uint64_t>(std::min(a, b)) << 32) | std::max(a, b);
-  };
   while (!engine.all_complete() && audit.ticks < max_ticks) {
     ++audit.ticks;
     const std::span<const Transfer> accepted = engine.step(&pool);
     for (const Transfer& tr : accepted) {
       if (tr.from == kServer) continue;  // the server is exempt
       replay.record(tr.from, tr.to);
-      seen.insert(key(tr.from, tr.to));
       ++(tr.from < tr.to ? audit.lower_sender : audit.lower_receiver);
     }
     for (const Transfer& tr : accepted) {
@@ -77,12 +92,13 @@ LedgerAudit audit_ledger(Engine& engine, unsigned jobs, Tick max_ticks) {
       if (::testing::Test::HasFailure()) return audit;
     }
   }
-  for (const std::uint64_t k : seen) {
-    EXPECT_TRUE(pair_matches(engine, replay, static_cast<NodeId>(k >> 32),
-                             static_cast<NodeId>(k & 0xffffffffu), audit.ticks));
+  for (const auto& [pair, net] : replay.nets()) {
+    EXPECT_TRUE(pair_matches(engine, replay, pair.first, pair.second, audit.ticks));
     if (::testing::Test::HasFailure()) return audit;
+    audit.nonzero_pairs += net != 0;
   }
-  audit.pairs = seen.size();
+  audit.pairs = replay.nets().size();
+  EXPECT_EQ(engine.credit_pairs(), audit.nonzero_pairs) << "jobs=" << jobs;
   return audit;
 }
 
@@ -104,6 +120,10 @@ TEST(ScaleLedger, TriangularLedgerMatchesReplayedStream) {
     EXPECT_TRUE(engine.all_complete()) << "jobs=" << jobs;
     EXPECT_EQ(audit.ticks, 24u - 1 + 12) << "jobs=" << jobs;  // Theorem 1
     EXPECT_GT(audit.pairs, 4096u) << "jobs=" << jobs;
+    // Most hypercube exchanges settle within the tick: the ledger keeps far
+    // fewer pairs than ever traded.
+    EXPECT_GT(audit.nonzero_pairs, 0u) << "jobs=" << jobs;
+    EXPECT_LT(2 * audit.nonzero_pairs, audit.pairs) << "jobs=" << jobs;
     EXPECT_GT(audit.lower_sender, 0u) << "jobs=" << jobs;
     EXPECT_GT(audit.lower_receiver, 0u) << "jobs=" << jobs;
   }
@@ -126,6 +146,7 @@ TEST(ScaleLedger, RandomizedCreditLedgerMatchesReplayedStream) {
     const LedgerAudit audit = audit_ledger(engine, jobs, 300);
     ASSERT_FALSE(HasFailure()) << "jobs=" << jobs;
     EXPECT_GT(audit.pairs, 5000u) << "jobs=" << jobs;
+    EXPECT_GT(audit.nonzero_pairs, 0u) << "jobs=" << jobs;
     EXPECT_GT(audit.lower_sender, 0u) << "jobs=" << jobs;
     EXPECT_GT(audit.lower_receiver, 0u) << "jobs=" << jobs;
   }
