@@ -329,6 +329,7 @@ Engine::Engine(const EngineConfig& config, std::shared_ptr<const Topology> topol
   down_used_.assign(n_, 0);
   down_stamp_.assign(n_, 0);
   first_block_.assign(n_, 0);
+  if (opt_.credit_limit != 0) first_from_.assign(n_, 0);
 
   // Seed the server with the whole file (tail bits of the last word stay 0 —
   // the planner's word-wise diffs rely on that invariant for every row).
@@ -770,6 +771,7 @@ bool Engine::admit(Tick tick, const Transfer& tr, PairTable& delivered) {
     down_stamp_[v] = tick;
     down_used_[v] = 1;
     first_block_[v] = tr.block;
+    if (opt_.credit_limit != 0) first_from_[v] = tr.from;
     return true;
   }
   std::uint32_t& used = down_used_[v];
@@ -1079,9 +1081,15 @@ void Engine::apply_merged(Tick tick, std::span<const Transfer> accepted,
   // go: transfers the lower id received come from receiver bucket r, those
   // it sent from the sender slice (server uploads excepted, as in
   // commit_serial). Only shard r writes ledgers_[r] and a pair's net is a
-  // plain sum, so the ledger is the one apply() builds. (Recording the
-  // received half inside 3a instead measured slower at jobs 1 and 4 alike;
-  // EXPERIMENTS.md E24.)
+  // plain sum, so the ledger is the one apply() builds. Both halves of a
+  // pair whose two nodes each took exactly one transfer this tick, from
+  // each other, are skipped: the exchange nets to 0 within the tick (§3.2),
+  // and skipping it spares the ledger an insert and an erase. The stamp
+  // test gives the same answer from either half and both halves are
+  // committed here, so the ledger between ticks does not depend on --jobs
+  // (EXPERIMENTS.md E29). (Recording the received half inside 3a instead
+  // measured slower at jobs 1 and 4 alike, E24, and no faster once netted,
+  // E29.)
   for_shards(pool, R, [&](std::uint32_t r) {
     const NodeId first = static_cast<NodeId>(r) * recv_width_;
     const NodeId last = static_cast<NodeId>(
@@ -1093,13 +1101,26 @@ void Engine::apply_merged(Tick tick, std::span<const Transfer> accepted,
         lo, accepted.end(), [&](const Transfer& t) { return t.from < last; });
     for (auto it = lo; it != hi; ++it) ++uploads_per_node_[it->from];
     if (opt_.credit_limit == 0) return;
+    // x's only admitted receive this tick came from y. (The count keeps the
+    // test exact even for a schedule that sends one pair two blocks in a
+    // tick; no schedule does today.)
+    const auto only_from = [&](NodeId x, NodeId y) {
+      return down_stamp_[x] == tick && down_used_[x] == 1 && first_from_[x] == y;
+    };
+    const auto exchanged = [&](NodeId a, NodeId b) {
+      return only_from(a, b) && only_from(b, a);
+    };
     CreditLedger& ledger = ledgers_[r].ledger;
     for (std::uint32_t i = bucket_offsets_[r]; i < bucket_offsets_[r + 1]; ++i) {
       const Transfer& tr = bucket_[i].tr;
-      if (tr.to < tr.from && accept_[bucket_[i].idx] != 0) ledger.record(tr.from, tr.to);
+      if (tr.to < tr.from && accept_[bucket_[i].idx] != 0 && !exchanged(tr.to, tr.from)) {
+        ledger.record(tr.from, tr.to);
+      }
     }
     for (auto it = lo; it != hi; ++it) {
-      if (it->from != kServer && it->from < it->to) ledger.record(it->from, it->to);
+      if (it->from != kServer && it->from < it->to && !exchanged(it->from, it->to)) {
+        ledger.record(it->from, it->to);
+      }
     }
   });
   if (timing) timings_.apply_seconds += seconds_since(stamp);
@@ -1304,6 +1325,7 @@ std::uint64_t Engine::state_bytes() const {
   bytes += down_used_.size() * sizeof(std::uint32_t);
   bytes += down_stamp_.size() * sizeof(Tick);
   bytes += first_block_.size() * sizeof(BlockId);
+  bytes += first_from_.size() * sizeof(NodeId);  // credit mode only
   bytes += full_row_.capacity() * sizeof(std::uint64_t);
   // Tick scratch: the per-shard intent vectors, diff-scan recordings and
   // probe caches, the admission tables, the merge buckets/flags/offsets,

@@ -546,7 +546,8 @@ class Engine {
   /// sharded by sender (the accepted stream is non-decreasing in `from`),
   /// frequency deltas reduced from per-shard scratch in fixed shard order,
   /// ledger committed by the sender pass, shard r recording every pair
-  /// whose lower id lies in its range. Leaves the engine in the exact state
+  /// whose lower id lies in its range and skipping the tick's reciprocal
+  /// exchanges, which net to 0. Leaves the engine in the exact state
   /// apply() would.
   void apply_merged(Tick tick, std::span<const Transfer> accepted, ThreadPool* pool);
 
@@ -605,9 +606,9 @@ class Engine {
   // power of two, so the merge's three million-intent passes shard with a
   // shift instead of an integer division). Every merge/apply constraint
   // that crosses sender shards is per-receiver, so shard r exclusively owns
-  // down_used_/down_stamp_/first_block_/count_/completion_/possession+
-  // summary rows for its range, and ledgers_[r] for every pair whose lower
-  // id is in it.
+  // down_used_/down_stamp_/first_block_/first_from_/count_/completion_/
+  // possession+summary rows for its range, and ledgers_[r] for every pair
+  // whose lower id is in it.
   // All three values are pure functions of n — and because each receiver
   // lives wholly inside one shard and shards decide independently in
   // canonical order, the admitted stream does not depend on the widths.
@@ -631,6 +632,7 @@ class Engine {
   std::vector<std::uint32_t> down_used_;    // stamped by down_stamp_
   std::vector<Tick> down_stamp_;            // last tick with an admitted intent
   std::vector<BlockId> first_block_;        // that tick's first admitted block
+  std::vector<NodeId> first_from_;          // and its sender (credit mode only)
   std::vector<PairTable> delivered_;        // one per receiver shard
   std::vector<std::size_t> intent_offsets_; // canonical stream offsets, S+1
   std::vector<std::uint32_t> scatter_pos_;  // S x R counts, then cursors

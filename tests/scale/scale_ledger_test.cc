@@ -10,7 +10,10 @@
 // commit are exercised: transfers whose receiver is the lower id and
 // transfers whose sender is. Early ticks of the binomial schedule carry few
 // intents and commit serially (the sparse-tick path), later ones take the
-// sharded path, so both commit paths are under the check.
+// sharded path, so both commit paths are under the check. The sharded
+// apply skips both halves of a reciprocal exchange whose two nodes took no
+// other transfer that tick, and records every other pair; the audit counts
+// both kinds of exchange on sharded ticks.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +21,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <set>
 #include <span>
 #include <utility>
 
@@ -34,7 +38,32 @@ struct LedgerAudit {
   std::uint64_t nonzero_pairs = 0;   // pairs with a nonzero net at the end
   std::uint64_t lower_sender = 0;    // client transfers with from < to
   std::uint64_t lower_receiver = 0;  // client transfers with to < from
+  // Client pairs that traded both ways in one sharded tick: those whose two
+  // nodes received nothing else that tick (netted before the ledger), and
+  // those where a side also received from a third node or the server.
+  std::uint64_t netted_exchanges = 0;
+  std::uint64_t crowded_exchanges = 0;
 };
+
+/// More accepted transfers than this means more intents than the engine's
+/// sparse-tick threshold: the tick was merged and committed sharded.
+constexpr std::size_t kShardedTickTransfers = 2048;
+
+/// Counts the reciprocal client exchanges of one sharded tick.
+void count_exchanges(std::span<const Transfer> accepted, LedgerAudit& audit) {
+  if (accepted.size() <= kShardedTickTransfers) return;
+  std::map<NodeId, std::uint32_t> received;
+  std::set<std::pair<NodeId, NodeId>> sent;
+  for (const Transfer& tr : accepted) {
+    ++received[tr.to];
+    if (tr.from != kServer) sent.insert({tr.from, tr.to});
+  }
+  for (const auto& [from, to] : sent) {
+    if (from > to || !sent.contains({to, from})) continue;
+    ++(received[from] == 1 && received[to] == 1 ? audit.netted_exchanges
+                                                : audit.crowded_exchanges);
+  }
+}
 
 /// An independent replay of the accepted stream: net lo -> hi per pair
 /// {lo, hi} that ever traded, kept when it returns to 0.
@@ -81,6 +110,7 @@ LedgerAudit audit_ledger(Engine& engine, unsigned jobs, Tick max_ticks) {
   while (!engine.all_complete() && audit.ticks < max_ticks) {
     ++audit.ticks;
     const std::span<const Transfer> accepted = engine.step(&pool);
+    count_exchanges(accepted, audit);
     for (const Transfer& tr : accepted) {
       if (tr.from == kServer) continue;  // the server is exempt
       replay.record(tr.from, tr.to);
@@ -149,6 +179,42 @@ TEST(ScaleLedger, RandomizedCreditLedgerMatchesReplayedStream) {
     EXPECT_GT(audit.nonzero_pairs, 0u) << "jobs=" << jobs;
     EXPECT_GT(audit.lower_sender, 0u) << "jobs=" << jobs;
     EXPECT_GT(audit.lower_receiver, 0u) << "jobs=" << jobs;
+  }
+}
+
+TEST(ScaleLedger, CrowdedExchangesRecordBothHalvesLikeReplay) {
+  // Upload and download capacity 2 and a server that uploads 8 blocks a
+  // tick: many reciprocal pairs have a side that also received from a third
+  // client or the server that tick, so the sharded apply must record both
+  // halves of those pairs, while exchanges with nothing else beside them
+  // are netted. 5000 nodes = 3 receiver shards.
+  EngineConfig cfg;
+  cfg.num_nodes = 5000;
+  cfg.num_blocks = 48;
+  cfg.upload_capacity = 2;
+  cfg.download_capacity = 2;
+  cfg.server_upload_capacity = 8;
+  ScaleOptions opt;
+  opt.credit_limit = 1;
+  Rng rng(23);
+  const auto topo = std::make_shared<Topology>(
+      Topology::from_graph(make_random_regular(cfg.num_nodes, 8, rng)));
+
+  LedgerAudit first;
+  for (const unsigned jobs : {1u, 4u}) {
+    Engine engine(cfg, topo, opt, 23);
+    const LedgerAudit audit = audit_ledger(engine, jobs, 300);
+    ASSERT_FALSE(HasFailure()) << "jobs=" << jobs;
+    EXPECT_GT(audit.netted_exchanges, 0u) << "jobs=" << jobs;
+    EXPECT_GT(audit.crowded_exchanges, 0u) << "jobs=" << jobs;
+    if (jobs == 1) {
+      first = audit;
+      continue;
+    }
+    EXPECT_EQ(audit.ticks, first.ticks);
+    EXPECT_EQ(audit.nonzero_pairs, first.nonzero_pairs);
+    EXPECT_EQ(audit.netted_exchanges, first.netted_exchanges);
+    EXPECT_EQ(audit.crowded_exchanges, first.crowded_exchanges);
   }
 }
 

@@ -136,7 +136,8 @@ int main_impl(int argc, char** argv) {
   // engines run their trials serially and parallelize each tick instead.
   RunResult first;
   TraceEvents first_events;
-  std::uint64_t state_bytes = 0;
+  std::uint64_t state_bytes = 0;      // run 0's engine state before its run
+  std::uint64_t state_bytes_end = 0;  // and after it (tick scratch, ledger)
   const auto sweep_start = std::chrono::steady_clock::now();
   const unsigned trial_jobs = spec.engine == RunEngine::kCore ? jobs : 1;
   const TrialStats stats = repeat_trials_parallel(spec.runs, trial_jobs, [&](std::uint32_t i) {
@@ -150,13 +151,17 @@ int main_impl(int argc, char** argv) {
                            scale::build_scale_options(spec), seed);
       if (i == 0) state_bytes = engine.state_bytes();
       r = engine.run(jobs);
+      if (i == 0) state_bytes_end = engine.state_bytes();
     } else {
       scale::stream::StreamSpec stream = scale::build_stream_spec(spec, seed);
       stream.config.record_trace = cfg.record_trace;
       scale::stream::StreamEngine engine(std::move(stream));
       if (i == 0) state_bytes = engine.state_bytes();
       r = engine.run(jobs);
-      if (i == 0) first_events = engine.trace_events();
+      if (i == 0) {
+        state_bytes_end = engine.state_bytes();
+        first_events = engine.trace_events();
+      }
     }
     TrialOutcome out;
     out.completed = r.completed;
@@ -192,7 +197,8 @@ int main_impl(int argc, char** argv) {
             << " s (" << fmt(sweep_seconds > 0.0 ? spec.runs / sweep_seconds : 0.0, 1)
             << " trials/s, jobs=" << (jobs == 0 ? default_jobs() : jobs) << ")";
   if (spec.engine != RunEngine::kCore) {
-    std::cout << ", state " << state_bytes / (1024 * 1024) << " MiB";
+    std::cout << ", state " << state_bytes / (1024 * 1024) << " MiB ("
+              << state_bytes_end / (1024 * 1024) << " MiB after the run)";
   }
   std::cout << "\n# digest " << std::hex << check::run_result_digest(first) << std::dec
             << "\n";
