@@ -566,13 +566,8 @@ ScenarioOutcome check_certificate_soundness(const Scenario& sc,
   const flow::BarterModel model =
       sc.spec.mechanism == MechanismKind::kStrict ? flow::BarterModel::kStrictBarter
           : flow::BarterModel::kCooperative;
-  // Fuzz-tier options: the counting components always run; the flow search
-  // stays cheap enough to keep scenario throughput up.
-  flow::CertifyOptions opts;
-  opts.max_flow_sinks = 2;
-  opts.flow_arc_budget = 250'000;
   const flow::CompletionCertificate cert =
-      flow::certify_completion_bound(config, topology, model, opts);
+      flow::certify_completion_bound(config, topology, model);
   if (cert.lower_bound > r.completion_tick) {
     std::ostringstream os;
     os << "completion tick " << r.completion_tick

@@ -196,9 +196,10 @@ CompletionCertificate certify_completion_bound(const EngineConfig& config,
                 cert.seed_bound, cert.strict_ramp_bound});
   cert.lower_bound = counting;
 
-  // Time-expanded flow refinement. Complete topologies skip it: the
-  // counting components are exact there (Theorem 1/2 tight), and unrolling
-  // n^2 arcs per tick buys nothing.
+  // Flow refinement. Complete topologies skip it: the counting components
+  // are exact there (Theorem 1/2 tight), and n^2 overlay arcs buy nothing.
+  // The gate is the arc count the unrolled graph would have, so the set of
+  // scenarios that evaluate this component does not depend on the solver.
   if (!topology.is_complete() && counting < options.horizon_cap) {
     const std::uint64_t span = static_cast<std::uint64_t>(counting) + shape.k + shape.n;
     const Tick hi = clamp_tick(span, options);
@@ -214,39 +215,16 @@ CompletionCertificate certify_completion_bound(const EngineConfig& config,
                 [&](NodeId a, NodeId b) { return pipe[a] > pipe[b]; });
       if (sinks.size() > options.max_flow_sinks) sinks.resize(options.max_flow_sinks);
 
+      // Each sink's least feasible horizon is exact (quickest_horizon); one
+      // that exceeds hi certifies hi + 1 and ends the search.
       Tick best = counting;
       for (const NodeId v : sinks) {
-        const auto feasible = [&](Tick t) {
-          return horizon_feasible(shape, topology, t, v, mechanism);
-        };
-        if (best >= hi || feasible(best)) continue;  // no improvement here
-        // Exponential probe out of the infeasible region, then binary
-        // search the boundary. Feasibility is monotone in the horizon (a
-        // longer unrolling embeds the shorter one).
-        Tick bad = best;
-        Tick step = 1;
-        Tick probe = std::min<Tick>(best + step, hi);
-        while (probe < hi && !feasible(probe)) {
-          bad = probe;
-          step *= 2;
-          probe = std::min<Tick>(probe + step, hi);
-        }
-        if (probe >= hi && !feasible(hi)) {
-          // Even the generous horizon is infeasible — certify it and stop
-          // (hi + 1 is sound; the true bound may be larger still).
-          best = clamp_tick(static_cast<std::uint64_t>(hi) + 1, options);
-          cert.flow_client = v;
-          continue;
-        }
-        Tick good = probe;
-        while (bad + 1 < good) {
-          const Tick mid = bad + (good - bad) / 2;
-          (feasible(mid) ? good : bad) = mid;
-        }
-        if (good > best) {
-          best = good;
-          cert.flow_client = v;
-        }
+        if (best >= hi) break;
+        const std::uint64_t t = quickest_horizon(shape, topology, v, mechanism);
+        if (t <= best) continue;
+        best = t > hi ? clamp_tick(static_cast<std::uint64_t>(hi) + 1, options)
+                      : static_cast<Tick>(t);
+        cert.flow_client = v;
       }
       if (best > counting) cert.flow_bound = best;
       cert.lower_bound = std::max(counting, best);

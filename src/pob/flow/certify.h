@@ -15,9 +15,10 @@
 //     envelope) must cover all demand_clients * k receptions.
 //   - pipe_bound: a client at BFS distance h whose inflow is capped at r
 //     cannot finish before h - 1 + ceil(k / r).
-//   - flow_bound: the time-expanded max-flow component — smallest horizon
-//     at which k units route to the worst sink clients (per-block release
-//     arcs included), found by exponential + binary search. Skipped on
+//   - flow_bound: the max-flow-over-time component — the least horizon at
+//     which the time-expanded relaxation routes k units to each of the
+//     worst sink clients, computed exactly by one quickest-flow solve per
+//     sink on the static overlay (flow/time_expanded.h). Skipped on
 //     complete topologies (the counting components are exact there) and
 //     when the unrolled graph would exceed the arc budget.
 //   - seed_bound / strict_ramp_bound (strict barter only): first blocks
@@ -36,11 +37,13 @@
 namespace pob::flow {
 
 struct CertifyOptions {
-  /// Worst clients (by pipe score) given a full time-expanded flow search.
+  /// Worst clients (by pipe score) whose least feasible horizon is solved.
   std::uint32_t max_flow_sinks = 4;
-  /// Skip the flow component when the unrolled graph would exceed this many
-  /// arcs (the counting components still apply — the bound just loses the
-  /// topology-aware refinement).
+  /// Skip the flow component when the time-expanded graph unrolled to the
+  /// search ceiling would exceed this many arcs. The solver never unrolls;
+  /// the gate keeps that arc count so the scenarios that evaluate the flow
+  /// component stay the same (the counting components still apply — the
+  /// bound just loses the topology-aware refinement).
   std::uint64_t flow_arc_budget = 4'000'000;
   /// Absolute ceiling any component is clamped to (guards zero-capacity and
   /// disconnected scenarios where the true bound is "never").

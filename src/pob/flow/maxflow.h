@@ -6,8 +6,10 @@
 // augmentation along successive shortest (fewest-arc) paths. The min-cost
 // variant is the classic successive-shortest-path scheme: repeatedly augment
 // along a cheapest residual path (SPFA, since residual arcs of cost -c
-// appear once flow moves) until the target flow is met. Both operate on the
-// same arc store, so a caller can build one network and ask either question.
+// appear once flow moves) until the target flow is met; it can report each
+// augmentation's bottleneck and path cost, which is all a quickest-flow
+// computation needs. Both operate on the same arc store, so a caller can
+// build one network and ask either question.
 //
 // The time-expanded graphs the certifier builds are long and thin (path
 // depth grows with the horizon), so every traversal here is iterative — no
@@ -76,11 +78,20 @@ class FlowNetwork {
     std::int64_t cost = 0;
   };
 
+  /// One successive-shortest-path step: `flow` units along a residual path
+  /// of per-unit cost `cost`. The steps' costs are nondecreasing.
+  struct Augmentation {
+    std::int64_t flow = 0;
+    std::int64_t cost = 0;
+  };
+
   /// Successive shortest paths: route up to `limit` units at minimum total
   /// cost. Arc costs must be non-negative on the *original* arcs (residual
-  /// negatives are handled by the label-correcting search).
+  /// negatives are handled by the label-correcting search). When
+  /// `augmentations` is given, every step is appended to it in order.
   FlowCost min_cost_max_flow(std::uint32_t source, std::uint32_t sink,
-                             std::int64_t limit = kInfCapacity) {
+                             std::int64_t limit = kInfCapacity,
+                             std::vector<Augmentation>* augmentations = nullptr) {
     FlowCost result;
     std::vector<std::int64_t> dist;
     std::vector<std::uint32_t> parent_arc;
@@ -100,6 +111,7 @@ class FlowNetwork {
       }
       result.flow += bottleneck;
       result.cost += bottleneck * dist[sink];
+      if (augmentations != nullptr) augmentations->push_back({bottleneck, dist[sink]});
     }
     return result;
   }

@@ -28,6 +28,51 @@ bool has_edge(const scale::Topology& topo, NodeId u, NodeId v) {
 
 std::uint64_t ceil_div(std::uint64_t a, std::uint64_t b) { return (a + b - 1) / b; }
 
+/// First node id of each per-node row one tick of the port construction
+/// touches: node i's row entry is base + i.
+struct PortLayer {
+  std::uint32_t from;  ///< states uploads draw from (tick t - 1)
+  std::uint32_t to;    ///< states downloads deliver into (tick t)
+  std::uint32_t up;
+  std::uint32_t down;
+  std::uint32_t cli;   ///< strict-barter coupling ports
+};
+
+/// One tick of transfers: node i's upload port draws from its `from` state
+/// (unit cost, so min-cost flow counts transfer volume; a block can be
+/// forwarded only from the tick after it was received), every overlay edge
+/// i -> j feeds j's download port, and the download port delivers into j's
+/// `to` state. Strict barter pairs every client-client transfer with a
+/// simultaneous reciprocal upload, so client-sourced receptions at j pass
+/// j's coupling port, capped by j's own upload capacity too. Any capacity
+/// >= k is non-binding for a k-unit flow; clamping keeps the arithmetic
+/// small and kUnlimited harmless.
+void add_port_layer(FlowNetwork& net, const CapacityShape& shape,
+                    const scale::Topology& topology, bool strict, const PortLayer& at) {
+  const std::uint32_t n = shape.n;
+  const std::int64_t flow = shape.k;
+  const auto cap = [&](std::uint64_t c) {
+    return static_cast<std::int64_t>(std::min<std::uint64_t>(c, shape.k));
+  };
+  for (NodeId i = 0; i < n; ++i) {
+    if (shape.up[i] > 0) net.add_arc(at.from + i, at.up + i, cap(shape.up[i]), 1);
+    net.add_arc(at.down + i, at.to + i, cap(shape.down[i]));
+    if (strict && i != kServer) {
+      net.add_arc(at.cli + i, at.down + i, cap(std::min(shape.up[i], shape.down[i])));
+    }
+  }
+  for (NodeId i = 0; i < n; ++i) {
+    if (shape.up[i] == 0) continue;
+    const std::uint32_t deg = topology.degree(i);
+    for (std::uint32_t idx = 0; idx < deg; ++idx) {
+      const NodeId j = topology.neighbor(i, idx);
+      const std::uint32_t target =
+          strict && i != kServer && j != kServer ? at.cli + j : at.down + j;
+      net.add_arc(at.up + i, target, flow);
+    }
+  }
+}
+
 }  // namespace
 
 CapacityShape CapacityShape::from_config(const EngineConfig& config) {
@@ -82,12 +127,6 @@ TimeExpandedGraph build_time_expanded(const CapacityShape& shape,
   const std::uint32_t n = shape.n;
   const std::uint32_t k = shape.k;
   const bool strict = model == BarterModel::kStrictBarter;
-  const std::int64_t kFlow = static_cast<std::int64_t>(k);
-  // Any capacity >= k is non-binding for a k-unit flow; clamping keeps the
-  // arithmetic small and kUnlimited harmless.
-  const auto cap = [&](std::uint64_t c) {
-    return static_cast<std::int64_t>(std::min<std::uint64_t>(c, k));
-  };
 
   // Node layout: source, k block nodes, then per tick: n states (ticks
   // 0..T), n upload ports (1..T), n download ports (1..T), and under strict
@@ -100,15 +139,12 @@ TimeExpandedGraph build_time_expanded(const CapacityShape& shape,
   const std::uint32_t cli0 = down0 + horizon * n;
   const std::uint32_t total = cli0 + (strict ? horizon * n : 0);
   const auto state = [&](NodeId i, Tick t) { return state0 + t * n + i; };
-  const auto up_port = [&](NodeId i, Tick t) { return up0 + (t - 1) * n + i; };
-  const auto down_port = [&](NodeId i, Tick t) { return down0 + (t - 1) * n + i; };
-  const auto cli_port = [&](NodeId i, Tick t) { return cli0 + (t - 1) * n + i; };
 
   TimeExpandedGraph g;
   g.net = FlowNetwork(total);
   g.source = source;
   g.sink = state(sink_client, horizon);
-  g.demand = kFlow;
+  g.demand = static_cast<std::int64_t>(k);
 
   // Per-block source arcs: the server holds every block from tick 0, but at
   // most server_up blocks can *first leave* it per tick, so (ordering blocks
@@ -123,36 +159,11 @@ TimeExpandedGraph build_time_expanded(const CapacityShape& shape,
   }
 
   for (Tick t = 1; t <= horizon; ++t) {
-    for (NodeId i = 0; i < n; ++i) {
-      // Storage: a held block stays held.
-      g.net.add_arc(state(i, t - 1), state(i, t), kFlow);
-      // Upload port (unit cost: min-cost flow counts transfer volume); a
-      // block can be forwarded only from the tick after it was received —
-      // exactly the state(t-1) -> transfer-at-t wiring.
-      if (shape.up[i] > 0) {
-        g.net.add_arc(state(i, t - 1), up_port(i, t), cap(shape.up[i]), 1);
-      }
-      // Download port.
-      g.net.add_arc(down_port(i, t), state(i, t), cap(shape.down[i]));
-      // Barter coupling: strict barter pairs every client-client transfer
-      // with a simultaneous reciprocal upload, so client-sourced receptions
-      // at j per tick cannot exceed j's own upload capacity either.
-      if (strict && i != kServer) {
-        g.net.add_arc(cli_port(i, t),
-                      down_port(i, t), cap(std::min(shape.up[i], shape.down[i])));
-      }
-    }
-    for (NodeId i = 0; i < n; ++i) {
-      if (shape.up[i] == 0) continue;
-      const std::uint32_t deg = topology.degree(i);
-      for (std::uint32_t idx = 0; idx < deg; ++idx) {
-        const NodeId j = topology.neighbor(i, idx);
-        const std::uint32_t target = strict && i != kServer && j != kServer
-                                         ? cli_port(j, t)
-                                         : down_port(j, t);
-        g.net.add_arc(up_port(i, t), target, kFlow);
-      }
-    }
+    // Storage: a held block stays held.
+    for (NodeId i = 0; i < n; ++i) g.net.add_arc(state(i, t - 1), state(i, t), g.demand);
+    const std::uint32_t row = (t - 1) * n;
+    add_port_layer(g.net, shape, topology, strict,
+                   {state(0, t - 1), state(0, t), up0 + row, down0 + row, cli0 + row});
   }
   return g;
 }
@@ -161,6 +172,38 @@ bool horizon_feasible(const CapacityShape& shape, const scale::Topology& topolog
                       Tick horizon, NodeId sink_client, BarterModel model) {
   TimeExpandedGraph g = build_time_expanded(shape, topology, horizon, sink_client, model);
   return g.net.max_flow(g.source, g.sink, g.demand) >= g.demand;
+}
+
+std::uint64_t quickest_horizon(const CapacityShape& shape, const scale::Topology& topology,
+                               NodeId sink_client, BarterModel model) {
+  // The unrolled graph repeats one port layer per tick, each arc spanning
+  // at most one tick, so its max flow is a temporally repeated static flow
+  // (DESIGN.md §9): successive shortest paths from the server's state give
+  // augmentations (units u_j, upload hops l_j) with l_j nondecreasing, and
+  // horizon T routes the sum over l_j <= T of u_j * (T + 1 - l_j) units.
+  const std::uint32_t n = shape.n;
+  const bool strict = model == BarterModel::kStrictBarter;
+  FlowNetwork net((strict ? 4 : 3) * n);
+  add_port_layer(net, shape, topology, strict, {0, 0, n, 2 * n, 3 * n});
+  std::vector<FlowNetwork::Augmentation> paths;
+  // Routing k units is enough: once they have, horizon l_last carries k.
+  net.min_cost_max_flow(kServer, sink_client, shape.k, &paths);
+
+  // With the first j + 1 paths open the value is (T + 1) * units - hops;
+  // the least T reaching k either falls before l_{j+1} or lies further on.
+  std::uint64_t units = 0;
+  std::uint64_t hops = 0;
+  for (std::size_t j = 0; j < paths.size(); ++j) {
+    const auto flow = static_cast<std::uint64_t>(paths[j].flow);
+    const auto len = static_cast<std::uint64_t>(paths[j].cost);
+    units += flow;
+    hops += flow * len;
+    const std::uint64_t t = std::max(len, ceil_div(shape.k + hops, units) - 1);
+    if (j + 1 == paths.size() || t < static_cast<std::uint64_t>(paths[j + 1].cost)) {
+      return t;
+    }
+  }
+  return kNeverFeasible;
 }
 
 std::optional<std::string> tick_flow_feasible(const CapacityShape& shape,

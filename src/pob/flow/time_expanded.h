@@ -8,6 +8,13 @@
 // disjoint, time-respecting paths, so a legal schedule induces a feasible
 // integral flow).
 //
+// The certifier does not unroll: `quickest_horizon` answers "the least
+// horizon at which k units reach this client" with one successive-shortest-
+// path solve on the static overlay (Ford & Fulkerson's temporally repeated
+// flows; DESIGN.md §9 carries the exactness argument). The unrolled graph
+// and `horizon_feasible` stay as the reference oracle that the quickest
+// flow is tested against.
+//
 // The same capacity-port construction, restricted to a single tick, yields
 // the per-tick feasibility predicate `tick_flow_feasible`: is a planned
 // transfer set realizable under the per-node upload/download caps and the
@@ -79,6 +86,16 @@ TimeExpandedGraph build_time_expanded(const CapacityShape& shape,
 /// False certifies that no legal schedule completes that client by then.
 bool horizon_feasible(const CapacityShape& shape, const scale::Topology& topology,
                       Tick horizon, NodeId sink_client, BarterModel model);
+
+/// quickest_horizon's answer when no horizon is feasible.
+inline constexpr std::uint64_t kNeverFeasible = ~0ull;
+
+/// The least horizon T at which horizon_feasible(T) holds for `sink_client`,
+/// or kNeverFeasible. One min-cost flow on the static overlay (state, upload,
+/// download and, under strict barter, coupling port per node; transit time 1
+/// per upload hop) instead of a search over unrolled graphs.
+std::uint64_t quickest_horizon(const CapacityShape& shape, const scale::Topology& topology,
+                               NodeId sink_client, BarterModel model);
 
 /// The per-tick differential-oracle predicate: checks one tick's transfer
 /// set against overlay adjacency and per-node capacities by solving the

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace pob::flow {
 namespace {
 
@@ -98,6 +100,26 @@ TEST(MinCostFlow, ReroutesThroughResidualArcs) {
   // Cheapest path 0->1->2->3 (cost 3) saturates 2->3; the second unit must
   // cancel 1->2 via its residual: 0->2->(1)->3 costs 4 - 1 + 5 = 8.
   EXPECT_EQ(result.cost, 11);
+}
+
+TEST(MinCostFlow, ReportsEachAugmentationInOrder) {
+  // The residual case above, logged: each step's units and per-unit path
+  // cost (the second cancels the middle arc), nondecreasing, summing to the
+  // totals.
+  FlowNetwork net(4);
+  net.add_arc(0, 1, 1, 1);
+  net.add_arc(0, 2, 1, 4);
+  net.add_arc(1, 2, 1, 1);
+  net.add_arc(1, 3, 1, 5);
+  net.add_arc(2, 3, 1, 1);
+  std::vector<FlowNetwork::Augmentation> steps;
+  const auto result = net.min_cost_max_flow(0, 3, kInfCapacity, &steps);
+  ASSERT_EQ(steps.size(), 2u);
+  EXPECT_EQ(steps[0].flow, 1);
+  EXPECT_EQ(steps[0].cost, 3);
+  EXPECT_EQ(steps[1].flow, 1);
+  EXPECT_EQ(steps[1].cost, 8);
+  EXPECT_EQ(result.cost, steps[0].cost + steps[1].cost);
 }
 
 TEST(MinCostFlow, MatchesMaxFlowValue) {
