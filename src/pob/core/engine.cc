@@ -36,12 +36,9 @@ double RunResult::utilization(Tick t, const EngineConfig& cfg) const {
   if (!cfg.upload_capacities.empty()) {
     for (const std::uint32_t c : cfg.upload_capacities) slots += c;
   } else {
-    const std::uint32_t server_up = cfg.server_upload_capacity != 0
-                                        ? cfg.server_upload_capacity
-                                        : cfg.upload_capacity;
     slots = static_cast<double>(cfg.upload_capacity) *
                 static_cast<double>(cfg.num_nodes - 1) +
-            static_cast<double>(server_up);
+            static_cast<double>(cfg.upload_cap(kServer));
   }
   return static_cast<double>(uploads_per_tick[t - 1]) / slots;
 }
@@ -57,31 +54,28 @@ Tick default_tick_cap(std::uint32_t num_nodes, std::uint32_t num_blocks) {
       std::min<std::uint64_t>(cap, std::numeric_limits<Tick>::max()));
 }
 
-namespace {
-
-[[noreturn]] void violation(Tick tick, const Transfer& tr, const char* why) {
-  std::ostringstream os;
-  os << "tick " << tick << ": transfer " << tr.from << " -> " << tr.to
-     << " (block " << tr.block << "): " << why;
-  throw EngineViolation(os.str());
-}
-
-}  // namespace
-
-RunResult run_with_state(const EngineConfig& config, Scheduler& scheduler,
-                         Mechanism* mechanism, SwarmState& state) {
-  if (config.num_nodes < 2) throw std::invalid_argument("engine: num_nodes < 2");
-  if (config.num_blocks < 1) throw std::invalid_argument("engine: num_blocks < 1");
-  if (config.upload_capacity < 1) throw std::invalid_argument("engine: upload_capacity < 1");
-  if (config.download_capacity < 1) throw std::invalid_argument("engine: download_capacity < 1");
-  if (state.num_nodes() != config.num_nodes || state.num_blocks() != config.num_blocks) {
-    throw std::invalid_argument("engine: state dimensions do not match config");
+void validate_config(const EngineConfig& config) {
+  if (config.num_nodes < 2) throw std::invalid_argument("config: num_nodes < 2");
+  if (config.num_blocks < 1) throw std::invalid_argument("config: num_blocks < 1");
+  if (config.upload_capacity < 1) {
+    throw std::invalid_argument("config: upload_capacity < 1");
+  }
+  if (config.download_capacity < 1) {
+    throw std::invalid_argument("config: download_capacity < 1");
   }
 
   const std::uint32_t n = config.num_nodes;
-  // Config shape errors are reported as EngineViolation with distinct
-  // messages: they are machine-checked preconditions of the §2.1 model, and
-  // the differential oracle (pob/check) mirrors each rule independently.
+  // Shape errors are EngineViolations with distinct messages: they are
+  // machine-checked preconditions of the §2.1 model, and the differential
+  // oracle (pob/check) mirrors each rule independently. First the limit: a
+  // possession row has (k + 63) / 64 words, computed in 32 bits, so past
+  // this k it wraps to 0 words and the first insert writes out of bounds.
+  constexpr std::uint32_t kMaxBlocks = std::numeric_limits<std::uint32_t>::max() - 63;
+  if (config.num_blocks > kMaxBlocks) {
+    throw EngineViolation("config: num_blocks " + std::to_string(config.num_blocks) +
+                          " exceeds " + std::to_string(kMaxBlocks) +
+                          " (the possession-row word count would wrap)");
+  }
   if (!config.upload_capacities.empty() && config.upload_capacities.size() != n) {
     throw EngineViolation("config: upload_capacities has " +
                           std::to_string(config.upload_capacities.size()) +
@@ -103,27 +97,86 @@ RunResult run_with_state(const EngineConfig& config, Scheduler& scheduler,
                             std::to_string(n) + ")");
     }
   }
-  const std::uint32_t server_up = config.server_upload_capacity != 0
-                                      ? config.server_upload_capacity
-                                      : config.upload_capacity;
-  const auto up_cap_of = [&](NodeId node) -> std::uint32_t {
-    if (!config.upload_capacities.empty()) return config.upload_capacities[node];
-    return node == kServer ? server_up : config.upload_capacity;
-  };
-  const auto down_cap_of = [&](NodeId node) -> std::uint32_t {
-    if (!config.download_capacities.empty()) return config.download_capacities[node];
-    return config.download_capacity;
-  };
   // The paper's model requires d >= u (§2.1) and d >= 1 for every client;
   // the server never downloads, so its entries are exempt (§2.3.4's m*u).
   for (NodeId c = 1; c < n; ++c) {
-    if (down_cap_of(c) < std::max(up_cap_of(c), 1u)) {
+    const std::uint32_t up = config.upload_cap(c);
+    const std::uint32_t down = config.download_cap(c);
+    if (down < std::max(up, 1u)) {
       throw EngineViolation("config: client " + std::to_string(c) +
-                            " has download capacity " + std::to_string(down_cap_of(c)) +
-                            " and upload capacity " + std::to_string(up_cap_of(c)) +
+                            " has download capacity " + std::to_string(down) +
+                            " and upload capacity " + std::to_string(up) +
                             " (the model requires d >= u and d >= 1)");
     }
   }
+}
+
+TickRecord::TickRecord(const EngineConfig& config)
+    : record_trace_(config.record_trace),
+      window_(config.stall_window),
+      utilization_(config.stall_utilization) {}
+
+bool TickRecord::record(std::span<const Transfer> accepted, Count active_slots,
+                        bool counts_for_stall) {
+  result_.total_transfers += accepted.size();
+  result_.uploads_per_tick.push_back(accepted.size());
+  result_.active_slots_per_tick.push_back(active_slots);
+  if (record_trace_) result_.trace.emplace_back(accepted.begin(), accepted.end());
+  if (window_ == 0 || !counts_for_stall) return false;
+
+  window_sum_ += accepted.size();
+  window_slots_sum_ += active_slots;
+  // The ring grows to window_ entries as counted ticks arrive, then each new
+  // tick replaces (and leaves the window sums minus) the oldest.
+  if (ring_.size() < window_) {
+    ring_.emplace_back(accepted.size(), active_slots);
+    if (ring_.size() < window_) return false;
+  } else {
+    auto& oldest = ring_[ring_next_];
+    window_sum_ -= oldest.first;
+    window_slots_sum_ -= oldest.second;
+    oldest = {accepted.size(), active_slots};
+    ring_next_ = ring_next_ + 1 == window_ ? 0 : ring_next_ + 1;
+  }
+  result_.stalled = static_cast<double>(window_sum_) <
+                    utilization_ * static_cast<double>(window_slots_sum_);
+  return result_.stalled;
+}
+
+RunResult TickRecord::finish(Tick ticks_executed, bool completed, std::uint32_t departed,
+                             std::vector<Tick> client_completion,
+                             std::vector<Count> uploads_per_node) {
+  RunResult result = std::move(result_);
+  result.ticks_executed = ticks_executed;
+  result.completed = completed;
+  result.departed = departed;
+  result.client_completion = std::move(client_completion);
+  result.uploads_per_node = std::move(uploads_per_node);
+  if (completed) {
+    result.completion_tick = *std::max_element(result.client_completion.begin(),
+                                               result.client_completion.end());
+  }
+  return result;
+}
+
+namespace {
+
+[[noreturn]] void violation(Tick tick, const Transfer& tr, const char* why) {
+  std::ostringstream os;
+  os << "tick " << tick << ": transfer " << tr.from << " -> " << tr.to
+     << " (block " << tr.block << "): " << why;
+  throw EngineViolation(os.str());
+}
+
+}  // namespace
+
+RunResult run_with_state(const EngineConfig& config, Scheduler& scheduler,
+                         Mechanism* mechanism, SwarmState& state) {
+  validate_config(config);
+  if (state.num_nodes() != config.num_nodes || state.num_blocks() != config.num_blocks) {
+    throw std::invalid_argument("engine: state dimensions do not match config");
+  }
+  const std::uint32_t n = config.num_nodes;
   const Tick cap = config.max_ticks != 0
                        ? config.max_ticks
                        : default_tick_cap(config.num_nodes, config.num_blocks);
@@ -133,8 +186,9 @@ RunResult run_with_state(const EngineConfig& config, Scheduler& scheduler,
   std::sort(departures.begin(), departures.end());
   std::size_t next_departure = 0;
 
-  RunResult result;
-  result.uploads_per_node.assign(n, 0);
+  TickRecord record(config);
+  Count dropped = 0;
+  std::vector<Count> uploads_per_node(n, 0);
   std::vector<Transfer> tick_transfers;
   std::vector<Transfer> kept;
   std::vector<std::uint32_t> up_used(n), down_used(n);
@@ -143,14 +197,12 @@ RunResult run_with_state(const EngineConfig& config, Scheduler& scheduler,
   // so that stall detection and utilization compare against capacity that
   // actually exists, not the tick-0 fleet.
   std::uint64_t active_slots = 0;
-  for (NodeId u = 0; u < n; ++u) active_slots += up_cap_of(u);
+  for (NodeId u = 0; u < n; ++u) active_slots += config.upload_cap(u);
   const auto deactivate = [&](NodeId node) {
     if (!state.is_active(node)) return;
     state.deactivate(node);
-    active_slots -= up_cap_of(node);
+    active_slots -= config.upload_cap(node);
   };
-  std::uint64_t window_sum = 0;        // transfers in the stall window
-  std::uint64_t window_slots_sum = 0;  // active slots in the stall window
 
   // Deliveries severed by churn, keyed (receiver << 32) | block. A rigid
   // schedule's later sends of a block that never arrived — and duplicate
@@ -192,7 +244,7 @@ RunResult run_with_state(const EngineConfig& config, Scheduler& scheduler,
       if (tr.block >= config.num_blocks) violation(tick, tr, "block id out of range");
       if (!state.is_active(tr.from) || !state.is_active(tr.to)) {
         if (config.drop_transfers_involving_inactive) {
-          ++result.dropped_transfers;
+          ++dropped;
           if (state.is_active(tr.to)) {
             // A live receiver just lost this delivery; its own forwards of
             // the block become casualties too.
@@ -207,7 +259,7 @@ RunResult run_with_state(const EngineConfig& config, Scheduler& scheduler,
             lost_deliveries.count(delivery_key(tr.from, tr.block)) != 0) {
           // Lost upstream: the sender never received the block because a
           // departure severed its delivery. The casualty cascades.
-          ++result.dropped_transfers;
+          ++dropped;
           lost_deliveries.insert(delivery_key(tr.to, tr.block));
           continue;
         }
@@ -219,15 +271,15 @@ RunResult run_with_state(const EngineConfig& config, Scheduler& scheduler,
           // The original delivery was severed but the receiver holds the
           // block anyway; drop the stale duplicate. Erasing the key forgives
           // only this first one — a second duplicate is a scheduler bug.
-          ++result.dropped_transfers;
+          ++dropped;
           continue;
         }
         violation(tick, tr, "receiver already holds the block");
       }
-      if (++up_used[tr.from] > up_cap_of(tr.from)) {
+      if (++up_used[tr.from] > config.upload_cap(tr.from)) {
         violation(tick, tr, "sender over upload capacity");
       }
-      const std::uint32_t dcap = down_cap_of(tr.to);
+      const std::uint32_t dcap = config.download_cap(tr.to);
       if (dcap != kUnlimited && ++down_used[tr.to] > dcap) {
         violation(tick, tr, "receiver over download capacity");
       }
@@ -267,44 +319,23 @@ RunResult run_with_state(const EngineConfig& config, Scheduler& scheduler,
         // the lossy forgiveness for this (node, block) pair ends here.
         lost_deliveries.erase(delivery_key(tr.to, tr.block));
       }
-      ++result.uploads_per_node[tr.from];
+      ++uploads_per_node[tr.from];
       if (config.depart_on_complete && became_complete && state.is_complete(tr.to)) {
         leaving.push_back(tr.to);
       }
     }
-    result.total_transfers += tick_transfers.size();
-    result.uploads_per_tick.push_back(tick_transfers.size());
-    result.active_slots_per_tick.push_back(active_slots);
-    if (config.record_trace) result.trace.push_back(tick_transfers);
-
-    if (config.stall_window != 0) {
-      window_sum += tick_transfers.size();
-      window_slots_sum += active_slots;
-      if (tick > config.stall_window) {
-        window_sum -= result.uploads_per_tick[tick - config.stall_window - 1];
-        window_slots_sum -= result.active_slots_per_tick[tick - config.stall_window - 1];
-      }
-      if (tick >= config.stall_window &&
-          static_cast<double>(window_sum) <
-              config.stall_utilization * static_cast<double>(window_slots_sum)) {
-        result.stalled = true;
-        break;
-      }
-    }
+    if (record.record(tick_transfers, active_slots, true)) break;
   }
 
-  result.ticks_executed = tick;
-  result.completed = state.all_complete();
-  result.departed = state.num_departed();
-  result.client_completion = state.client_completion_ticks();
-  if (result.completed) {
-    result.completion_tick =
-        *std::max_element(result.client_completion.begin(), result.client_completion.end());
-  }
+  RunResult result = record.finish(tick, state.all_complete(), state.num_departed(),
+                                   state.client_completion_ticks(),
+                                   std::move(uploads_per_node));
+  result.dropped_transfers = dropped;
   return result;
 }
 
 RunResult run(const EngineConfig& config, Scheduler& scheduler, Mechanism* mechanism) {
+  validate_config(config);  // before the state allocates k-sized rows
   SwarmState state(config.num_nodes, config.num_blocks);
   return run_with_state(config, scheduler, mechanism, state);
 }

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -91,6 +92,18 @@ struct EngineConfig {
   /// those runs off in O(window) instead of the full tick cap.
   Tick stall_window = 0;
   double stall_utilization = 0.02;
+
+  /// Node `node`'s upload capacity: its upload_capacities entry when that
+  /// vector is set, else server_upload_capacity (0 = upload_capacity) for
+  /// the server and upload_capacity for a client.
+  std::uint32_t upload_cap(NodeId node) const {
+    if (!upload_capacities.empty()) return upload_capacities[node];
+    if (node == kServer && server_upload_capacity != 0) return server_upload_capacity;
+    return upload_capacity;
+  }
+  std::uint32_t download_cap(NodeId node) const {
+    return download_capacities.empty() ? download_capacity : download_capacities[node];
+  }
 };
 
 struct RunResult {
@@ -158,6 +171,49 @@ struct RunResult {
   /// denominator; falls back to the static capacities in `cfg`.
   double utilization(Tick t, const EngineConfig& cfg) const;
 };
+
+/// The run frame's per-tick bookkeeping, shared by the core, scale and
+/// stream engines: the utilization trace, the optional transfer trace and
+/// the stall window. One record per run (per run() call on the resumable
+/// scale engine).
+class TickRecord {
+ public:
+  explicit TickRecord(const EngineConfig& config);
+
+  /// Records one executed tick. Ticks with `counts_for_stall` enter the
+  /// stall window (the stream engine counts only ticks after its last
+  /// arrival); returns true, and marks the result stalled, once the last
+  /// stall_window counted ticks used less than stall_utilization of their
+  /// active upload slots.
+  bool record(std::span<const Transfer> accepted, Count active_slots,
+              bool counts_for_stall);
+
+  /// The run's result with its end state filled in; completion_tick is the
+  /// latest client completion when `completed`.
+  RunResult finish(Tick ticks_executed, bool completed, std::uint32_t departed,
+                   std::vector<Tick> client_completion,
+                   std::vector<Count> uploads_per_node);
+
+ private:
+  RunResult result_;
+  bool record_trace_;
+  Tick window_;
+  double utilization_;
+  /// The last window_ counted ticks' (transfers, active slots); once full,
+  /// the oldest entry sits at ring_next_.
+  std::vector<std::pair<Count, Count>> ring_;
+  std::size_t ring_next_ = 0;
+  Count window_sum_ = 0;
+  Count window_slots_sum_ = 0;
+};
+
+/// Rejects a config outside the §2.1 model or the representable limits:
+/// std::invalid_argument for n < 2, k < 1, u < 1 or d < 1, EngineViolation
+/// (one distinct message per rule) for a k whose possession-row word count
+/// wraps 32 bits, mis-sized capacity vectors, departures naming the server
+/// or an out-of-range node, and a client with d < max(u, 1). Every engine
+/// runs this first and then adds only its own checks.
+void validate_config(const EngineConfig& config);
 
 /// Runs `scheduler` under `config` until all clients are complete or the
 /// tick cap is reached. If `mechanism` is non-null every tick is validated

@@ -84,14 +84,8 @@ CapacityShape CapacityShape::from_config(const EngineConfig& config) {
   shape.up.resize(shape.n);
   shape.down.resize(shape.n);
   for (std::uint32_t i = 0; i < shape.n; ++i) {
-    shape.up[i] = config.upload_capacities.empty() ? config.upload_capacity
-                                                   : config.upload_capacities[i];
-    shape.down[i] = config.download_capacities.empty()
-                        ? config.download_capacity
-                        : config.download_capacities[i];
-  }
-  if (config.upload_capacities.empty() && config.server_upload_capacity != 0) {
-    shape.up[kServer] = config.server_upload_capacity;
+    shape.up[i] = config.upload_cap(i);
+    shape.down[i] = config.download_cap(i);
   }
   shape.server_up = shape.up[kServer];
 

@@ -140,13 +140,11 @@ void Engine::ProbeCache::note_useless(NodeId u, NodeId v, std::uint32_t ver_u,
 Engine::Engine(const EngineConfig& config, std::shared_ptr<const Topology> topology,
                ScaleOptions options, std::uint64_t seed)
     : cfg_(config), topo_(std::move(topology)), opt_(options), seed_(seed) {
-  // Same validation, same exception types, same order as core's
-  // run_with_state — a config that one engine rejects must not silently run
-  // on the other.
-  if (cfg_.num_nodes < 2) throw std::invalid_argument("scale: num_nodes < 2");
-  if (cfg_.num_blocks < 1) throw std::invalid_argument("scale: num_blocks < 1");
-  if (cfg_.upload_capacity < 1) throw std::invalid_argument("scale: upload_capacity < 1");
-  if (cfg_.download_capacity < 1) throw std::invalid_argument("scale: download_capacity < 1");
+  // The one config check core runs too, so a config that one engine
+  // rejects cannot silently run on the other. d >= 1 matters beyond the
+  // model here: admit takes a receiver's first intent of a tick without
+  // reading its cap.
+  validate_config(cfg_);
   if (topo_ == nullptr || topo_->num_nodes() != cfg_.num_nodes) {
     throw std::invalid_argument("scale: topology does not match num_nodes");
   }
@@ -154,55 +152,17 @@ Engine::Engine(const EngineConfig& config, std::shared_ptr<const Topology> topol
   if (opt_.shard_nodes < 1) throw std::invalid_argument("scale: shard_nodes < 1");
 
   const std::uint32_t n = cfg_.num_nodes;
-  if (!cfg_.upload_capacities.empty() && cfg_.upload_capacities.size() != n) {
-    throw EngineViolation("config: upload_capacities has " +
-                          std::to_string(cfg_.upload_capacities.size()) +
-                          " entries for " + std::to_string(n) + " nodes");
-  }
-  if (!cfg_.download_capacities.empty() && cfg_.download_capacities.size() != n) {
-    throw EngineViolation("config: download_capacities has " +
-                          std::to_string(cfg_.download_capacities.size()) +
-                          " entries for " + std::to_string(n) + " nodes");
-  }
-  for (const auto& [dep_tick, dep_node] : cfg_.departures) {
-    (void)dep_tick;
-    if (dep_node == kServer) {
-      throw EngineViolation("config: departure names the server (node 0)");
-    }
-    if (dep_node >= n) {
-      throw EngineViolation("config: departure names out-of-range node " +
-                            std::to_string(dep_node) + " (num_nodes " +
-                            std::to_string(n) + ")");
-    }
-  }
-
   n_ = n;
   k_ = cfg_.num_blocks;
   stride_ = (k_ + 63) / 64;
   sum_stride_ = (stride_ + 63) / 64;
   tail_mask_ = (k_ & 63) != 0 ? (1ULL << (k_ & 63)) - 1 : ~0ULL;
 
-  const std::uint32_t server_up = cfg_.server_upload_capacity != 0
-                                      ? cfg_.server_upload_capacity
-                                      : cfg_.upload_capacity;
   up_caps_.resize(n_);
   down_caps_.resize(n_);
   for (NodeId u = 0; u < n_; ++u) {
-    up_caps_[u] = !cfg_.upload_capacities.empty()
-                      ? cfg_.upload_capacities[u]
-                      : (u == kServer ? server_up : cfg_.upload_capacity);
-    down_caps_[u] = !cfg_.download_capacities.empty() ? cfg_.download_capacities[u]
-                                                      : cfg_.download_capacity;
-  }
-  // d >= 1 matters beyond the model: admit takes a receiver's first intent
-  // of a tick without reading its cap.
-  for (NodeId c = 1; c < n_; ++c) {
-    if (down_caps_[c] < std::max(up_caps_[c], 1u)) {
-      throw EngineViolation("config: client " + std::to_string(c) +
-                            " has download capacity " + std::to_string(down_caps_[c]) +
-                            " and upload capacity " + std::to_string(up_caps_[c]) +
-                            " (the model requires d >= u and d >= 1)");
-    }
+    up_caps_[u] = cfg_.upload_cap(u);
+    down_caps_[u] = cfg_.download_cap(u);
   }
   // One intent per upload slot and at most one per (u, v) pair: no tick
   // can carry more than this many intents.
@@ -229,7 +189,7 @@ Engine::Engine(const EngineConfig& config, std::shared_ptr<const Topology> topol
                             " requires uniform capacities (per-node capacity "
                             "vectors are not supported)");
     }
-    if (cfg_.upload_capacity != 1 || server_up > 1) {
+    if (cfg_.upload_capacity != 1 || cfg_.upload_cap(kServer) > 1) {
       throw EngineViolation(std::string("scale: ") + sname +
                             " requires unit upload capacity (upload_capacity "
                             "1, server_upload_capacity <= 1)");
@@ -1197,11 +1157,10 @@ void Engine::set_capacity(NodeId node, std::uint32_t up, std::uint32_t down) {
   // block for me to send", which is about possession, not slots.
 }
 
-std::span<const Transfer> Engine::step(ThreadPool* pool) {
-  lockstep_ = true;  // the stream driver owns the loop; run() is poisoned
+void Engine::open_tick() {
   ++tick_;
-  // Same loop head as run(): due config departures, then the depart-on-
-  // complete queue, both at the START of the tick.
+  // Due config departures, then the depart-on-complete queue, both at the
+  // START of the tick, as in core's run_with_state.
   while (next_departure_ < departures_.size() &&
          departures_[next_departure_].first <= tick_) {
     deactivate(departures_[next_departure_].second);
@@ -1211,6 +1170,11 @@ std::span<const Transfer> Engine::step(ThreadPool* pool) {
     for (const NodeId c : leaving_) deactivate(c);
     leaving_.clear();
   }
+}
+
+std::span<const Transfer> Engine::step(ThreadPool* pool) {
+  lockstep_ = true;  // the stream driver owns the loop; run() is poisoned
+  open_tick();
   accepted_.clear();
   plan_phases(tick_, accepted_, pool);
   apply_merged(tick_, accepted_, pool);
@@ -1239,70 +1203,30 @@ RunResult Engine::run(unsigned jobs) {
   timings_ = PhaseTimings{};
   ThreadPool pool(jobs);
 
-  // From here down the control flow replicates core's run_with_state line
-  // for line (departure application, depart_on_complete timing, the stall
-  // window arithmetic, final bookkeeping) so that a mirrored core run
-  // produces a field-for-field identical RunResult. The tick counter, the
-  // departure cursor and the leaving queue are members, so a capped call
-  // resumes exactly where the previous one stopped — splitting a run into
-  // windows changes no transfer and no completion tick.
+  // The tick counter, the departure cursor and the leaving queue are
+  // members, so a capped call resumes exactly where the previous one
+  // stopped — splitting a run into windows changes no transfer and no
+  // completion tick. The tick record (and so the stall window) is per call.
   const Tick cap = cfg_.max_ticks != 0 ? cfg_.max_ticks
                                        : default_tick_cap(cfg_.num_nodes, cfg_.num_blocks);
-
-  RunResult result;
-  std::uint64_t window_sum = 0;
-  std::uint64_t window_slots_sum = 0;
-
+  TickRecord record(cfg_);
   Tick executed = 0;  // this call's ticks; tick_ numbers the global stream
   while (num_incomplete_ != 0 && executed < cap) {
-    ++tick_;
     ++executed;
-    while (next_departure_ < departures_.size() &&
-           departures_[next_departure_].first <= tick_) {
-      deactivate(departures_[next_departure_].second);
-      ++next_departure_;
-    }
-    if (cfg_.depart_on_complete) {
-      for (const NodeId c : leaving_) deactivate(c);
-      leaving_.clear();
-    }
+    open_tick();
     if (num_incomplete_ == 0) break;  // survivors may already all be done
-
     accepted_.clear();
     plan_phases(tick_, accepted_, &pool);
     apply_merged(tick_, accepted_, &pool);
-
-    result.total_transfers += accepted_.size();
-    result.uploads_per_tick.push_back(accepted_.size());
-    result.active_slots_per_tick.push_back(active_slots_);
-    if (cfg_.record_trace) result.trace.push_back(accepted_);
-
-    if (cfg_.stall_window != 0) {
-      window_sum += accepted_.size();
-      window_slots_sum += active_slots_;
-      if (executed > cfg_.stall_window) {
-        window_sum -= result.uploads_per_tick[executed - cfg_.stall_window - 1];
-        window_slots_sum -= result.active_slots_per_tick[executed - cfg_.stall_window - 1];
-      }
-      if (executed >= cfg_.stall_window &&
-          static_cast<double>(window_sum) <
-              cfg_.stall_utilization * static_cast<double>(window_slots_sum)) {
-        result.stalled = true;
-        break;
-      }
-    }
+    if (record.record(accepted_, active_slots_, true)) break;
   }
+  return finish(record, executed, num_incomplete_ == 0);
+}
 
-  result.ticks_executed = executed;
-  result.completed = num_incomplete_ == 0;
-  result.departed = num_departed_;
-  result.client_completion.assign(completion_.begin() + 1, completion_.end());
-  if (result.completed) {
-    result.completion_tick = *std::max_element(result.client_completion.begin(),
-                                               result.client_completion.end());
-  }
-  result.uploads_per_node = uploads_per_node_;  // copy: the engine stays resumable
-  return result;
+RunResult Engine::finish(TickRecord& record, Tick ticks_executed, bool completed) const {
+  // Copies: the engine stays resumable.
+  return record.finish(ticks_executed, completed, num_departed_,
+                       {completion_.begin() + 1, completion_.end()}, uploads_per_node_);
 }
 
 std::uint64_t Engine::credit_pairs() const {

@@ -251,6 +251,10 @@ class Engine {
   /// until the next step/plan call). Like plan(), poisons run().
   std::span<const Transfer> step(ThreadPool* pool);
 
+  /// Ends a run frame: `record`'s result with this engine's end state
+  /// (client completion ticks, per-node uploads, departures) filled in.
+  RunResult finish(TickRecord& record, Tick ticks_executed, bool completed) const;
+
   /// Lowest block `node` is missing, or k if complete — O(summary words)
   /// via the missing-summary, then one possession word. The playback prefix
   /// of the sequential-demand mode: every block below it is held.
@@ -528,6 +532,9 @@ class Engine {
   void generate_range(std::uint64_t tick_base, NodeId first, NodeId last,
                       std::vector<Transfer>& out, DiffScan& scan,
                       ProbeCache& cache);
+  /// The loop head run() and step() share: advances tick_ and applies due
+  /// config departures and the depart-on-complete queue.
+  void open_tick();
   void plan_phases(Tick tick, std::vector<Transfer>& out, ThreadPool* pool);
   /// Merge admission of one intent against its receiver's download cap and
   /// the one-delivery-per-(receiver, block) rule. Stamp-first: a receiver's

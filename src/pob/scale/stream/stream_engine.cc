@@ -1,6 +1,5 @@
 #include "pob/scale/stream/stream_engine.h"
 
-#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -42,12 +41,7 @@ RunResult StreamEngine::run(unsigned jobs) {
           ? cfg.max_ticks
           : default_tick_cap(cfg.num_nodes, cfg.num_blocks) + plan_.last_arrival;
 
-  RunResult result;
-  std::uint64_t window_sum = 0;
-  std::uint64_t window_slots_sum = 0;
-  std::vector<Count> steady_uploads;      // stall window, arrivals-done ticks only
-  std::vector<std::uint64_t> steady_slots;
-
+  TickRecord record(cfg);
   Tick executed = 0;
   while ((pending_arrivals_ != 0 || !engine_->all_complete()) && executed < cap) {
     const Tick t = engine_->current_tick() + 1;
@@ -72,51 +66,17 @@ RunResult StreamEngine::run(unsigned jobs) {
 
     const std::span<const Transfer> accepted = engine_->step(&pool);
     ++executed;
-
-    result.total_transfers += accepted.size();
-    result.uploads_per_tick.push_back(accepted.size());
-    result.active_slots_per_tick.push_back(engine_->active_upload_slots());
-    if (cfg.record_trace) {
-      result.trace.emplace_back(accepted.begin(), accepted.end());
-    }
     for (const Transfer& tr : accepted) tracker_.on_delivery(tr.to, tr.block, t);
     tracker_.end_tick(t);
-
-    // Stall detection runs only once every client has arrived: before that,
+    // Stall detection counts only ticks after the last arrival: before that,
     // low utilization is the workload (a thin pre-spike swarm), not a stall.
-    if (cfg.stall_window != 0 && pending_arrivals_ == 0) {
-      steady_uploads.push_back(accepted.size());
-      steady_slots.push_back(engine_->active_upload_slots());
-      window_sum += accepted.size();
-      window_slots_sum += engine_->active_upload_slots();
-      const std::size_t steady = steady_uploads.size();
-      if (steady > cfg.stall_window) {
-        window_sum -= steady_uploads[steady - cfg.stall_window - 1];
-        window_slots_sum -= steady_slots[steady - cfg.stall_window - 1];
-      }
-      if (steady >= cfg.stall_window &&
-          static_cast<double>(window_sum) <
-              cfg.stall_utilization * static_cast<double>(window_slots_sum)) {
-        result.stalled = true;
-        break;
-      }
+    if (record.record(accepted, engine_->active_upload_slots(), pending_arrivals_ == 0)) {
+      break;
     }
   }
 
-  result.ticks_executed = executed;
-  result.completed = pending_arrivals_ == 0 && engine_->all_complete();
-  result.departed = engine_->num_departed();
-  const std::uint32_t n = cfg.num_nodes;
-  result.client_completion.resize(n - 1);
-  result.uploads_per_node.resize(n);
-  for (NodeId u = 0; u < n; ++u) {
-    if (u != kServer) result.client_completion[u - 1] = engine_->node_completion(u);
-    result.uploads_per_node[u] = engine_->node_uploads(u);
-  }
-  if (result.completed) {
-    result.completion_tick = *std::max_element(result.client_completion.begin(),
-                                               result.client_completion.end());
-  }
+  const bool completed = pending_arrivals_ == 0 && engine_->all_complete();
+  RunResult result = engine_->finish(record, executed, completed);
   tracker_.finalize(engine_->current_tick(), result);
   return result;
 }

@@ -125,6 +125,9 @@ WorkloadPlan build_workload(const StreamWorkload& workload, const EngineConfig& 
     };
     plan.initial_up.assign(n, 0);
     plan.initial_down.assign(n, 0);
+    // Not config.upload_cap(kServer): rate classes replace the per-node
+    // vectors for every node, so the server keeps the scalar rule even when
+    // upload_capacities is set.
     const std::uint32_t server_up = config.server_upload_capacity != 0
                                         ? config.server_upload_capacity
                                         : config.upload_capacity;

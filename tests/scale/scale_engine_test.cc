@@ -450,30 +450,87 @@ TEST(ScaleEngine, CompleteTopologyMatchesExplicitCsr) {
             digest_with(std::make_shared<Topology>(Topology::from_graph(g))));
 }
 
+// "<exception type>: <message>" of what `fn` throws.
+template <typename Fn>
+std::string rejection(Fn&& fn) {
+  try {
+    fn();
+  } catch (const EngineViolation& e) {
+    return std::string("EngineViolation: ") + e.what();
+  } catch (const std::invalid_argument& e) {
+    return std::string("invalid_argument: ") + e.what();
+  }
+  return "accepted";
+}
+
+class IdleScheduler final : public pob::Scheduler {
+ public:
+  std::string_view name() const override { return "idle"; }
+  void plan_tick(Tick, const SwarmState&, std::vector<Transfer>&) override {}
+};
+
 TEST(ScaleEngine, ValidatesLikeCore) {
-  EngineConfig good;
-  good.num_nodes = 8;
-  good.num_blocks = 4;
+  // Both engines run one config check: every malformed config draws the
+  // same exception type and the same message from core run() and from the
+  // scale constructor.
+  const auto tiny = [](std::uint32_t n, std::uint32_t k) {
+    EngineConfig cfg;
+    cfg.num_nodes = n;
+    cfg.num_blocks = k;
+    return cfg;
+  };
+  std::vector<std::pair<EngineConfig, std::string>> cases;
+  cases.emplace_back(tiny(1, 1), "invalid_argument: config: num_nodes < 2");
+  cases.emplace_back(tiny(2, 0), "invalid_argument: config: num_blocks < 1");
+  EngineConfig cfg = tiny(2, 1);
+  cfg.upload_capacity = 0;
+  cases.emplace_back(cfg, "invalid_argument: config: upload_capacity < 1");
+  cfg = tiny(2, 1);
+  cfg.download_capacity = 0;
+  cases.emplace_back(cfg, "invalid_argument: config: download_capacity < 1");
+  // The first k whose (k + 63) / 64 wraps 32 bits; n = 2 keeps every
+  // allocation before the check tiny.
+  cases.emplace_back(tiny(2, 4294967233u),
+                     "EngineViolation: config: num_blocks 4294967233 exceeds "
+                     "4294967232 (the possession-row word count would wrap)");
+  cfg = tiny(4, 2);
+  cfg.departures = {{3, kServer}};
+  cases.emplace_back(cfg, "EngineViolation: config: departure names the server (node 0)");
+  cfg = tiny(4, 2);
+  cfg.departures = {{3, 4}};
+  cases.emplace_back(
+      cfg, "EngineViolation: config: departure names out-of-range node 4 (num_nodes 4)");
+  cfg = tiny(4, 2);
+  cfg.upload_capacities = {1, 1, 1};
+  cases.emplace_back(
+      cfg, "EngineViolation: config: upload_capacities has 3 entries for 4 nodes");
+  cfg = tiny(4, 2);
+  cfg.download_capacities.assign(5, kUnlimited);
+  cases.emplace_back(
+      cfg, "EngineViolation: config: download_capacities has 5 entries for 4 nodes");
+  cfg = tiny(4, 2);
+  cfg.upload_capacity = 2;
+  cfg.download_capacity = 1;
+  cases.emplace_back(cfg,
+                     "EngineViolation: config: client 1 has download capacity 1 and "
+                     "upload capacity 2 (the model requires d >= u and d >= 1)");
+  cfg = tiny(3, 2);
+  cfg.upload_capacities = {1, 3, 1};
+  cfg.download_capacities = {kUnlimited, 2, 1};
+  cases.emplace_back(cfg,
+                     "EngineViolation: config: client 1 has download capacity 2 and "
+                     "upload capacity 3 (the model requires d >= u and d >= 1)");
 
-  EngineConfig cfg = good;
-  cfg.num_nodes = 1;
-  EXPECT_THROW(Engine(cfg, complete_topo(1), {}, 1), std::invalid_argument);
+  for (const auto& [bad, want] : cases) {
+    IdleScheduler idle;
+    EXPECT_EQ(rejection([&] { pob::run(bad, idle); }), want);
+    const auto topo = complete_topo(std::max(bad.num_nodes, 2u));
+    EXPECT_EQ(rejection([&] { Engine(bad, topo, {}, 1); }), want);
+  }
 
-  cfg = good;
-  cfg.num_blocks = 0;
-  EXPECT_THROW(Engine(cfg, complete_topo(8), {}, 1), std::invalid_argument);
-
-  // Topology size must match the config.
+  // The scale engine's own checks: topology size, probes, shards.
+  const EngineConfig good = tiny(8, 4);
   EXPECT_THROW(Engine(good, complete_topo(9), {}, 1), std::invalid_argument);
-
-  cfg = good;
-  cfg.upload_capacities.assign(3, 1);  // wrong length
-  EXPECT_THROW(Engine(cfg, complete_topo(8), {}, 1), EngineViolation);
-
-  cfg = good;
-  cfg.departures = {{2, 0}};  // the server cannot depart
-  EXPECT_THROW(Engine(cfg, complete_topo(8), {}, 1), EngineViolation);
-
   ScaleOptions opt;
   opt.max_probes = 0;
   EXPECT_THROW(Engine(good, complete_topo(8), opt, 1), std::invalid_argument);
@@ -525,6 +582,30 @@ TEST(ScaleEngine, RunResumesInWindows) {
   EXPECT_EQ(after.ticks_executed, 0u);
   EXPECT_TRUE(after.completed);
   EXPECT_EQ(after.total_transfers, 0u);
+}
+
+TEST(ScaleEngine, CreditStarvedSwarmStallsAtAnyJobCount) {
+  // Credit limit 1 with Rarest-First on a sparse overlay starves: clients
+  // soon owe every neighbor and only the server can upload. The stall
+  // window cuts the run off, at the same tick on any number of workers.
+  EngineConfig cfg;
+  cfg.num_nodes = 200;
+  cfg.num_blocks = 64;
+  cfg.stall_window = 20;
+  ScaleOptions opt;
+  opt.credit_limit = 1;
+  opt.policy = BlockPolicy::kRarestFirst;
+  const auto topo = regular_topo(200, 4, 5);
+  Engine serial(cfg, topo, opt, 5);
+  const RunResult r1 = serial.run(1);
+  Engine parallel(cfg, topo, opt, 5);
+  const RunResult r4 = parallel.run(4);
+  EXPECT_TRUE(r1.stalled);
+  EXPECT_FALSE(r1.completed);
+  EXPECT_LT(r1.ticks_executed, default_tick_cap(200, 64));
+  EXPECT_EQ(r4.stalled, r1.stalled);
+  EXPECT_EQ(r4.ticks_executed, r1.ticks_executed);
+  EXPECT_EQ(run_result_digest(r4), run_result_digest(r1));
 }
 
 TEST(ScaleEngine, PhaseTimingsResetEveryRun) {

@@ -112,6 +112,39 @@ TEST(StreamEngine, CensorsNeverStartedClientsAsNaN) {
   EXPECT_LT(nans, 31u);  // the first cohort had 12 ticks to start
 }
 
+TEST(StreamEngine, StallWindowCountsOnlyTicksAfterTheLastArrival) {
+  // One client every 20 ticks: each finishes the 2-block file long before
+  // the next arrives, so the pre-arrival stretch carries zero transfers for
+  // many windows. Those ticks are the workload, not a stall; once the last
+  // client arrives at tick 41 the swarm finishes within the window.
+  StreamSpec spec = spec_for(4, 2, 17);
+  spec.workload.arrivals = ArrivalPattern::kBurst;
+  spec.workload.burst_size = 1;
+  spec.workload.burst_period = 20;
+  spec.config.stall_window = 5;
+
+  StreamEngine engine(spec);
+  const RunResult r = engine.run(1);
+  EXPECT_FALSE(r.stalled);
+  ASSERT_TRUE(r.completed);
+  EXPECT_GE(r.ticks_executed, 41u);
+  EXPECT_EQ(r.uploads_per_tick[9], 0u);  // a quiet pre-arrival tick
+}
+
+TEST(StreamEngine, RejectsBlockCountWhoseWordCountWraps) {
+  // (k + 63) / 64 wraps 32 bits from k = 2^32 - 63 on; the config check
+  // rejects it before any k-sized row exists (n = 2 keeps the rest tiny).
+  StreamSpec spec = spec_for(2, 4294967233u, 1);
+  try {
+    StreamEngine engine(spec);
+    ADD_FAILURE() << "expected EngineViolation";
+  } catch (const EngineViolation& e) {
+    EXPECT_STREQ(e.what(),
+                 "config: num_blocks 4294967233 exceeds 4294967232 (the "
+                 "possession-row word count would wrap)");
+  }
+}
+
 TEST(StreamEngine, SequentialWindowDeliversBlocksInOrder) {
   StreamSpec spec = spec_for(24, 8, 3);
   spec.config.record_trace = true;
