@@ -751,9 +751,24 @@ void Engine::plan_phases(Tick tick, std::vector<Transfer>& out, ThreadPool* pool
                            " after tick " + std::to_string(planned_tick_) +
                            " (ticks must strictly increase from 1)");
   }
-  planned_tick_ = tick;
-  const std::uint32_t shard = opt_.shard_nodes;
   const auto num_shards = static_cast<std::uint32_t>(shard_intents_.size());
+  if (planned_tick_ == 0) {
+    // First plan: reserve each sender shard's intent buffer at its worst
+    // case (max_intents over its nodes), here on the planning thread, so
+    // pool workers do not grow them (a raised capacity, or a materialized
+    // tick in shard 0 on this thread, still may). Growing hundreds of fine
+    // shard buffers on the workers moved barter-det's setup_s, the next
+    // engine build, +31% (E32).
+    for (std::uint32_t s = 0; s < num_shards; ++s) {
+      const NodeId first = s * opt_.shard_nodes;
+      const auto last = static_cast<NodeId>(
+          std::min<std::uint64_t>(n_, std::uint64_t{first} + opt_.shard_nodes));
+      std::uint64_t bound = 0;
+      for (NodeId u = first; u < last; ++u) bound += max_intents(u, up_caps_[u]);
+      shard_intents_[s].reserve(bound);
+    }
+  }
+  planned_tick_ = tick;
   const bool timing = opt_.collect_phase_timings;
   auto stamp = std::chrono::steady_clock::time_point{};
   if (timing) stamp = std::chrono::steady_clock::now();
@@ -773,17 +788,22 @@ void Engine::plan_phases(Tick tick, std::vector<Transfer>& out, ThreadPool* pool
   // the serial loop. begin_tick is the scheduler's serial hook (the riffle
   // scheduler materializes the tick's meeting buffer in it); generate()
   // emits each shard's slice of the canonical sender-ordered stream. A
-  // materialized tick's slices are too cheap to be worth a pool wake.
+  // materialized tick is copied out as ONE slice into shard 0, on the
+  // calling thread, and the merge below walks only the shards in use: a
+  // per-shard slice would cost two binary searches and an offset apiece,
+  // and the fine sender shards would make that the riffle's whole tick.
+  // Concatenated, both layouts are the same canonical stream.
   const bool materialized = sched_->begin_tick(tick);
-  const std::function<void(std::uint32_t)> generate = [&](std::uint32_t s) {
+  const std::uint32_t shards_used = materialized ? 1 : num_shards;
+  const std::uint32_t width = materialized ? n_ : opt_.shard_nodes;
+  for_shards(materialized ? nullptr : pool, shards_used, [&](std::uint32_t s) {
     auto& intents = shard_intents_[s];
     intents.clear();
-    const auto first = static_cast<NodeId>(static_cast<std::uint64_t>(s) * shard);
+    const auto first = static_cast<NodeId>(static_cast<std::uint64_t>(s) * width);
     const auto last = static_cast<NodeId>(
-        std::min<std::uint64_t>(n_, static_cast<std::uint64_t>(first) + shard));
+        std::min<std::uint64_t>(n_, static_cast<std::uint64_t>(first) + width));
     sched_->generate(tick, s, first, last, intents);
-  };
-  for_shards(materialized ? nullptr : pool, num_shards, generate);
+  });
 
   if (timing) {
     timings_.generate_seconds += seconds_since(stamp);
@@ -800,11 +820,11 @@ void Engine::plan_phases(Tick tick, std::vector<Transfer>& out, ThreadPool* pool
   const std::uint32_t R = recv_shards_;
 
   // 2a. Canonical-stream offsets per intent shard (serial, O(S)).
-  for (std::uint32_t s = 0; s < num_shards; ++s) {
+  for (std::uint32_t s = 0; s < shards_used; ++s) {
     intent_offsets_[s + 1] = intent_offsets_[s] + shard_intents_[s].size();
   }
   // Fits: the constructor and set_capacity keep intent_bound_ <= 2^32 - 1.
-  const auto total = static_cast<std::uint32_t>(intent_offsets_[num_shards]);
+  const auto total = static_cast<std::uint32_t>(intent_offsets_[shards_used]);
   std::fill(bucket_offsets_.begin(), bucket_offsets_.end(), 0u);
   sparse_tick_ = total <= kSparseTickIntents;
   if (total == 0) {
@@ -820,7 +840,7 @@ void Engine::plan_phases(Tick tick, std::vector<Transfer>& out, ThreadPool* pool
     // tick. apply_merged sees sparse_tick_ and commits serially too.
     PairTable& delivered = delivered_[0];
     delivered.begin_tick(total);
-    for (std::uint32_t s = 0; s < num_shards; ++s) {
+    for (std::uint32_t s = 0; s < shards_used; ++s) {
       for (const Transfer& tr : shard_intents_[s]) {
         if (admit(tick, tr, delivered)) out.push_back(tr);
       }
@@ -830,7 +850,7 @@ void Engine::plan_phases(Tick tick, std::vector<Transfer>& out, ThreadPool* pool
   }
 
   // 2b. Count intents per (intent shard, receiver shard).
-  for_shards(pool, num_shards, [&](std::uint32_t s) {
+  for_shards(pool, shards_used, [&](std::uint32_t s) {
     std::uint32_t* cnt = scatter_pos_.data() + static_cast<std::size_t>(s) * R;
     std::fill_n(cnt, R, 0u);
     for (const Transfer& tr : shard_intents_[s]) ++cnt[recv_shard_of(tr.to)];
@@ -840,7 +860,7 @@ void Engine::plan_phases(Tick tick, std::vector<Transfer>& out, ThreadPool* pool
   std::uint32_t running = 0;
   for (std::uint32_t r = 0; r < R; ++r) {
     bucket_offsets_[r] = running;
-    for (std::uint32_t s = 0; s < num_shards; ++s) {
+    for (std::uint32_t s = 0; s < shards_used; ++s) {
       std::uint32_t& cell = scatter_pos_[static_cast<std::size_t>(s) * R + r];
       const std::uint32_t c = cell;
       cell = running;
@@ -862,7 +882,7 @@ void Engine::plan_phases(Tick tick, std::vector<Transfer>& out, ThreadPool* pool
     advise_hugepages(accept_.data(), total);
     accept_.resize(total);
   }
-  for_shards(pool, num_shards, [&](std::uint32_t s) {
+  for_shards(pool, shards_used, [&](std::uint32_t s) {
     std::uint32_t* cur = scatter_pos_.data() + static_cast<std::size_t>(s) * R;
     auto g = static_cast<std::uint32_t>(intent_offsets_[s]);
     for (const Transfer& tr : shard_intents_[s]) {
@@ -888,7 +908,7 @@ void Engine::plan_phases(Tick tick, std::vector<Transfer>& out, ThreadPool* pool
 
   // 2f. Emit the accepted subsequence in canonical order: count accepted
   // per intent shard, prefix, then scatter into the output slots.
-  for_shards(pool, num_shards, [&](std::uint32_t s) {
+  for_shards(pool, shards_used, [&](std::uint32_t s) {
     std::uint32_t acc = 0;
     for (std::size_t g = intent_offsets_[s]; g < intent_offsets_[s + 1]; ++g) {
       acc += accept_[g];
@@ -896,10 +916,10 @@ void Engine::plan_phases(Tick tick, std::vector<Transfer>& out, ThreadPool* pool
     emit_offsets_[s + 1] = acc;
   });
   emit_offsets_[0] = 0;
-  for (std::uint32_t s = 0; s < num_shards; ++s) emit_offsets_[s + 1] += emit_offsets_[s];
+  for (std::uint32_t s = 0; s < shards_used; ++s) emit_offsets_[s + 1] += emit_offsets_[s];
   const std::size_t base = out.size();
-  out.resize(base + emit_offsets_[num_shards]);
-  for_shards(pool, num_shards, [&](std::uint32_t s) {
+  out.resize(base + emit_offsets_[shards_used]);
+  for_shards(pool, shards_used, [&](std::uint32_t s) {
     auto g = intent_offsets_[s];
     std::size_t w = base + emit_offsets_[s];
     for (const Transfer& tr : shard_intents_[s]) {

@@ -20,7 +20,12 @@
 //     its receivers' intents in canonical node order), and the accepted
 //     stream is reconstructed from per-intent accept flags in the exact
 //     order the old serial merge emitted. Shard counts are pure functions
-//     of n, never of the worker count.
+//     of n, never of the worker count. Sender shards are FINE (256 nodes
+//     by default, ScaleOptions::shard_nodes) so the pool can balance a
+//     generate phase whose work sits in a few hot node ranges — a stream
+//     swarm's live senders are its recent arrivals. A tick the scheduler
+//     materializes up front is generated as one slice and merged from that
+//     one shard, so its fixed cost does not grow with the shard count.
 //
 // The generate phase — the single-core ceiling at n = 10^6, where endgame
 // ticks make almost every probe useless — is accelerated three ways, none
@@ -130,8 +135,15 @@ struct ScaleOptions {
 
   /// Nodes per intent shard in the parallel generation phase. Shard count
   /// is a pure function of n (never of the job count), so chunk assignment
-  /// cannot leak into results.
-  std::uint32_t shard_nodes = 4096;
+  /// cannot leak into results. The default comes from a same-session
+  /// perfbench sweep of {4096, 1024, 512, 256} at jobs 4 (EXPERIMENTS.md
+  /// E32): swarm-random run_s 2.54 / 2.27 / 1.64 / 1.62 s, stream-vod
+  /// 3.09 / 2.24 / 2.33 / 2.03 s, barter-det 1.16 / 1.13 / 0.95 / 0.97 s.
+  /// Fine shards let the pool balance a generate phase whose work sits in a
+  /// few node ranges; serially they cost swarm-random's generate about 6%.
+  /// A materialized tick ignores the width (scheduler.h). Tests and the
+  /// fuzzer set odd widths to put shard boundaries mid-swarm.
+  std::uint32_t shard_nodes = 256;
 
   /// Accumulate per-phase wall-clock (generate / merge / apply) across the
   /// ticks of one run() call, readable via phase_timings(). Off by default:
@@ -635,7 +647,7 @@ class Engine {
   std::unique_ptr<ScaleScheduler> sched_;
 
   // Tick scratch (reused, never shrunk).
-  std::vector<std::vector<Transfer>> shard_intents_;
+  std::vector<std::vector<Transfer>> shard_intents_;  // reserved at first plan
   std::vector<std::uint32_t> down_used_;    // stamped by down_stamp_
   std::vector<Tick> down_stamp_;            // last tick with an admitted intent
   std::vector<BlockId> first_block_;        // that tick's first admitted block

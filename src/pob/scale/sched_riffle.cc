@@ -5,10 +5,10 @@
 
 namespace pob::scale {
 
-RiffleScheduler::RiffleScheduler(const Engine& engine) {
-  const std::uint32_t n = engine.config().num_nodes;
+RiffleScheduler::RiffleScheduler(const Engine& engine)
+    : n_(engine.config().num_nodes) {
   const std::uint32_t k = engine.config().num_blocks;
-  build(/*client0=*/1, /*p=*/n - 1, /*block0=*/0, /*kk=*/k, /*t0=*/0);
+  build(/*client0=*/1, /*p=*/n_ - 1, /*block0=*/0, /*kk=*/k, /*t0=*/0);
   for (const Segment& seg : segments_) last_tick_ = std::max(last_tick_, seg.end);
 }
 
@@ -103,14 +103,12 @@ bool RiffleScheduler::begin_tick(Tick tick) {
 
 void RiffleScheduler::generate(Tick tick, std::uint32_t /*shard*/, NodeId first,
                                NodeId last, std::vector<Transfer>& out) {
+  // begin_tick materialized the tick, so this is the one call spanning
+  // every sender (scheduler.h): the slice is the whole buffer.
   assert(tick == built_tick_ && "begin_tick must precede generate");
-  (void)tick;
-  const auto lo = std::partition_point(
-      tick_buf_.begin(), tick_buf_.end(),
-      [&](const Transfer& t) { return t.from < first; });
-  const auto hi = std::partition_point(
-      lo, tick_buf_.end(), [&](const Transfer& t) { return t.from < last; });
-  out.insert(out.end(), lo, hi);
+  assert(first == 0 && last == n_ && "a materialized tick is one slice");
+  (void)tick, (void)first, (void)last;
+  out.insert(out.end(), tick_buf_.begin(), tick_buf_.end());
 }
 
 std::uint64_t RiffleScheduler::memory_bytes() const {

@@ -30,8 +30,8 @@
 //
 // begin_tick materializes the tick's transfers once, serially, sorted by
 // sender (each node sends at most once per tick), and says so, so the engine
-// runs generate() inline; generate() binary-searches the sender slice,
-// keeping the sharded phase-1 contract bit-identical at any job count.
+// makes one inline generate() call over every sender, which copies the
+// buffer — the stream is bit-identical at any job count.
 
 #pragma once
 
@@ -78,6 +78,7 @@ class RiffleScheduler final : public ScaleScheduler {
              Tick t0);
   void emit_segment(const Segment& seg, Tick tick);
 
+  NodeId n_;
   std::vector<Segment> segments_;
   Tick last_tick_ = 0;
 

@@ -9,18 +9,20 @@
 //     (engine state, tick), never of the job count. Ticks strictly increase
 //     from 1 (the engine rejects anything else), so a cursor over the
 //     schedule never needs to rewind. It returns true iff it materialized
-//     the whole tick, so that generate() only copies a slice of a ready
-//     buffer: the engine then runs the generate calls inline on the calling
-//     thread, because waking the pool for trivial slices costs more than
-//     the slices do. The answer changes only where the work runs, never an
-//     intent.
+//     the whole tick, so that generate() only copies a ready buffer: the
+//     engine then makes ONE call, generate(t, 0, 0, n, out), on the calling
+//     thread, and the merge walks that single shard — the sender shards are
+//     fine enough (ScaleOptions::shard_nodes) that slicing a ready buffer
+//     per shard would cost more than the copy. The answer changes only
+//     where the work runs and how the stream is split, never an intent.
 //   * generate(t, shard, first, last, out) appends every intent of tick t
 //     whose SENDER lies in [first, last), in ascending sender order, to
-//     `out`. Calls for different shards may run concurrently on the thread
-//     pool; a shard's intents must not depend on which thread runs it or on
-//     whether other shards ran first. Concatenating the shards in ascending
-//     shard order yields the canonical (sender-ordered) intent stream the
-//     merge admits against.
+//     `out`. On a tick begin_tick did not materialize, the calls cover the
+//     intent shards [s * shard_nodes, (s + 1) * shard_nodes) and may run
+//     concurrently on the thread pool; a shard's intents must not depend on
+//     which thread runs it or on whether other shards ran first.
+//     Concatenating the shards in ascending shard order yields the canonical
+//     (sender-ordered) intent stream the merge admits against.
 //   * the merge phase enforces only RECEIVER-side constraints (download
 //     capacity, one delivery per (receiver, block)). Upload capacity and any
 //     mechanism constraint are the scheduler's contract: randomized
@@ -77,13 +79,14 @@ class ScaleScheduler {
   virtual ~ScaleScheduler() = default;
 
   /// Serial per-tick hook; see the contract above. Returns true iff the
-  /// tick is now materialized. Default: nothing to do, generate() does the
-  /// work.
+  /// tick is now materialized, i.e. the next generate() call spans every
+  /// sender. Default: nothing to do, generate() does the work.
   virtual bool begin_tick(Tick /*tick*/) { return false; }
 
   /// Appends tick `tick`'s intents with sender in [first, last) to `out`,
   /// ascending by sender. `shard` is the intent-shard index (shard-owned
-  /// scratch lives behind it); shards partition [0, n) contiguously.
+  /// scratch lives behind it); shards partition [0, n) contiguously — one
+  /// shard, [0, n), on a materialized tick.
   virtual void generate(Tick tick, std::uint32_t shard, NodeId first,
                         NodeId last, std::vector<Transfer>& out) = 0;
 

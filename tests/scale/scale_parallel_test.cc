@@ -14,12 +14,14 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <thread>
 
 #include "pob/check/oracle.h"
 #include "pob/overlay/builders.h"
 #include "pob/scale/engine.h"
+#include "pob/scale/stream/stream_engine.h"
 
 namespace pob::scale {
 namespace {
@@ -165,6 +167,95 @@ TEST(ScaleParallel, TraceDigestStableAcrossJobsWithChurnAndCredit) {
   EXPECT_EQ(digest_at(2), serial);
   EXPECT_EQ(digest_at(4), serial);
   EXPECT_EQ(digest_at(16), serial);
+}
+
+// The sender-shard width decides only how the generate phase is cut into
+// pool tasks: intents are a pure function of (seed, tick, node), admission
+// is per receiver, and a materialized tick is one slice at any width. Four
+// swarms, one per generate path — randomized cooperative, credit-limited
+// (credit 1, Rarest-First), a Poisson stream with a playback window, and
+// the riffle's materialized ticks — must each print one digest at the
+// default width, at the old 4096 and at 97 (boundaries mid-swarm), on 1 and
+// 4 workers. The digests were captured with the 4096-node default, before
+// the width changed, so a drift shared by every width fails too.
+TEST(ScaleParallel, ShardWidthDoesNotMoveTheStream) {
+  constexpr std::uint32_t kNodes = 10000;
+  Rng topo_rng(5);
+  const auto regular = std::make_shared<Topology>(
+      Topology::from_graph(make_random_regular(kNodes, 8, topo_rng)));
+  const auto scale_run = [&](EngineConfig cfg, ScaleOptions opt,
+                             std::shared_ptr<const Topology> topo, std::uint32_t width,
+                             unsigned jobs) {
+    opt.shard_nodes = width;
+    Engine engine(cfg, std::move(topo), opt, 11);
+    return check::run_result_digest(engine.run(jobs));
+  };
+
+  EngineConfig coop;
+  coop.num_nodes = kNodes;
+  coop.num_blocks = 64;
+  coop.server_upload_capacity = 4;
+  coop.record_trace = true;  // digest every tick's stream, not just totals
+
+  EngineConfig credit = coop;
+  credit.max_ticks = 150;
+  ScaleOptions credit_opt;
+  credit_opt.credit_limit = 1;
+  credit_opt.policy = BlockPolicy::kRarestFirst;
+
+  // 2^12 nodes, k = 2400: a third of the riffle's ticks carry more than
+  // the sparse-tick threshold's 2048 intents (up to 2401), so they take
+  // the sharded merge from a single slice.
+  EngineConfig riffle;
+  riffle.num_nodes = 4096;
+  riffle.num_blocks = 2400;
+  riffle.download_capacity = 2;
+  ScaleOptions riffle_opt;
+  riffle_opt.scheduler = SchedKind::kRifflePipeline;
+
+  struct Swarm {
+    const char* name;
+    std::uint64_t pinned;
+    std::function<std::uint64_t(std::uint32_t, unsigned)> digest;
+  };
+  const Swarm swarms[] = {
+      {"randomized", 0x5006af50bbd0b39aULL,
+       [&](std::uint32_t w, unsigned j) { return scale_run(coop, {}, regular, w, j); }},
+      {"credit", 0xd6a25f31939c1267ULL,
+       [&](std::uint32_t w, unsigned j) {
+         return scale_run(credit, credit_opt, regular, w, j);
+       }},
+      {"stream", 0x4638f802133ef707ULL,
+       [&](std::uint32_t w, unsigned j) {
+         stream::StreamSpec spec;
+         spec.config.num_nodes = kNodes;
+         spec.config.num_blocks = 64;
+         spec.config.server_upload_capacity = 8;
+         spec.topology = regular;
+         spec.options.shard_nodes = w;
+         spec.seed = 13;
+         spec.workload.arrivals = stream::ArrivalPattern::kPoisson;
+         spec.workload.mean_gap16 = 2;
+         spec.demand.window = 8;
+         spec.demand.startup_blocks = 4;
+         spec.demand.deadlines = true;
+         stream::StreamEngine engine(std::move(spec));
+         return check::run_result_digest(engine.run(j));
+       }},
+      {"riffle", 0x88ffd52b0b0187ebULL,
+       [&](std::uint32_t w, unsigned j) {
+         return scale_run(riffle, riffle_opt, std::make_shared<Topology>(Topology::complete(4096)),
+                          w, j);
+       }},
+  };
+  for (const Swarm& swarm : swarms) {
+    for (const std::uint32_t width : {ScaleOptions{}.shard_nodes, 4096u, 97u}) {
+      for (const unsigned jobs : {1u, 4u}) {
+        EXPECT_EQ(swarm.digest(width, jobs), swarm.pinned)
+            << swarm.name << " at width " << width << ", jobs " << jobs;
+      }
+    }
+  }
 }
 
 }  // namespace
