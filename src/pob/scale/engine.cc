@@ -259,8 +259,8 @@ Engine::Engine(const EngineConfig& config, std::shared_ptr<const Topology> topol
   }
 
   // Every per-probe random access lands in one of the arrays below. The
-  // big uint64 arenas go through huge_alloc (hugemem.h): explicit 2 MiB
-  // hugetlb pages when the kernel pool has room, a THP hint otherwise.
+  // big uint64 arenas go through huge_alloc (hugemem.h): whole 2 MiB
+  // mappings with a transparent-hugepage hint.
   // Beyond plain TLB relief this is what makes the generate phase's
   // lead-pass prefetch real — software prefetches that miss the TLB are
   // dropped on common cores, so with 4 KiB pages most row prefetches into
@@ -755,7 +755,7 @@ void Engine::plan_phases(Tick tick, std::vector<Transfer>& out, ThreadPool* pool
   if (planned_tick_ == 0) {
     // First plan: reserve each sender shard's intent buffer at its worst
     // case (max_intents over its nodes), here on the planning thread, so
-    // pool workers do not grow them (a raised capacity, or a materialized
+    // pool workers do not grow them (a raised capacity, or a one-slice
     // tick in shard 0 on this thread, still may). Growing hundreds of fine
     // shard buffers on the workers moved barter-det's setup_s, the next
     // engine build, +31% (E32).
@@ -786,17 +786,17 @@ void Engine::plan_phases(Tick tick, std::vector<Transfer>& out, ThreadPool* pool
   // read the (frozen) swarm state and write their own vector + scheduler-
   // owned scratch, so running them on a pool is observationally identical to
   // the serial loop. begin_tick is the scheduler's serial hook (the riffle
-  // scheduler materializes the tick's meeting buffer in it); generate()
-  // emits each shard's slice of the canonical sender-ordered stream. A
-  // materialized tick is copied out as ONE slice into shard 0, on the
-  // calling thread, and the merge below walks only the shards in use: a
-  // per-shard slice would cost two binary searches and an offset apiece,
-  // and the fine sender shards would make that the riffle's whole tick.
-  // Concatenated, both layouts are the same canonical stream.
-  const bool materialized = sched_->begin_tick(tick);
-  const std::uint32_t shards_used = materialized ? 1 : num_shards;
-  const std::uint32_t width = materialized ? n_ : opt_.shard_nodes;
-  for_shards(materialized ? nullptr : pool, shards_used, [&](std::uint32_t s) {
+  // scheduler advances its segment cursor in it); generate() emits each
+  // shard's slice of the canonical sender-ordered stream. A tick begin_tick
+  // claims as one slice (the riffle's) is generated by ONE call into shard
+  // 0, on the calling thread, and the merge below walks only the shards in
+  // use: a per-shard slice would cost two binary searches and an offset
+  // apiece, and the fine sender shards would make that the riffle's whole
+  // tick. Concatenated, both layouts are the same canonical stream.
+  const bool one_slice = sched_->begin_tick(tick);
+  const std::uint32_t shards_used = one_slice ? 1 : num_shards;
+  const std::uint32_t width = one_slice ? n_ : opt_.shard_nodes;
+  for_shards(one_slice ? nullptr : pool, shards_used, [&](std::uint32_t s) {
     auto& intents = shard_intents_[s];
     intents.clear();
     const auto first = static_cast<NodeId>(static_cast<std::uint64_t>(s) * width);

@@ -24,8 +24,9 @@
 //     by default, ScaleOptions::shard_nodes) so the pool can balance a
 //     generate phase whose work sits in a few hot node ranges — a stream
 //     swarm's live senders are its recent arrivals. A tick the scheduler
-//     materializes up front is generated as one slice and merged from that
-//     one shard, so its fixed cost does not grow with the shard count.
+//     claims as one slice (scheduler.h) is generated by one call and merged
+//     from that one shard, so its fixed cost does not grow with the shard
+//     count.
 //
 // The generate phase — the single-core ceiling at n = 10^6, where endgame
 // ticks make almost every probe useless — is accelerated three ways, none
@@ -141,7 +142,7 @@ struct ScaleOptions {
   /// 3.09 / 2.24 / 2.33 / 2.03 s, barter-det 1.16 / 1.13 / 0.95 / 0.97 s.
   /// Fine shards let the pool balance a generate phase whose work sits in a
   /// few node ranges; serially they cost swarm-random's generate about 6%.
-  /// A materialized tick ignores the width (scheduler.h). Tests and the
+  /// A one-slice tick ignores the width (scheduler.h). Tests and the
   /// fuzzer set odd widths to put shard boundaries mid-swarm.
   std::uint32_t shard_nodes = 256;
 

@@ -10,30 +10,20 @@
 namespace pob::scale {
 namespace {
 
-// Requests below this use ordinary pages even when the hugetlb pool has
-// room: rounding a small test-sized engine up to 2 MiB per array would
-// pin real (unswappable) hugetlb pages for kilobytes of payload and could
-// drain the pool before the benchmark-scale arenas — the ones the pool
-// exists for — get a chance to claim it. 1 MiB keeps every per-node array
-// of a million-node engine (even the 1-byte-per-node active flags) on big
-// pages — they are all random-read per probe — while the worst-case
-// rounding waste stays at one page.
-constexpr std::size_t kHugetlbThreshold = std::size_t{1} << 20;
+// Large requests are rounded to whole 2 MiB pages: recent Linux kernels
+// start such an anonymous mapping on a 2 MiB boundary, so the THP hint can
+// cover all of it. 1 MiB keeps every per-node array of a million-node
+// engine (even the 1-byte-per-node active flags) eligible — they are all
+// random-read per probe — while the rounding waste stays below one huge
+// page.
+constexpr std::size_t kHugeThreshold = std::size_t{1} << 20;
 constexpr std::size_t kHugePage = std::size_t{2} << 20;
 constexpr std::size_t kPage = 4096;
 
-constexpr std::size_t round_up(std::size_t v, std::size_t unit) {
-  return (v + unit - 1) / unit * unit;
-}
-
-// The mapping length is a pure function of the request size so that
-// huge_free can reconstruct it without per-allocation bookkeeping. Large
-// requests are rounded to the hugetlb unit on EVERY path (a hugetlb
-// attempt that falls back still maps the rounded length), so free never
-// has to know which path won.
+// A pure function of the request size, so huge_free needs no bookkeeping.
 constexpr std::size_t mapping_length(std::size_t bytes) {
-  return bytes >= kHugetlbThreshold ? round_up(bytes, kHugePage)
-                                    : round_up(bytes, kPage);
+  const std::size_t unit = bytes >= kHugeThreshold ? kHugePage : kPage;
+  return (bytes + unit - 1) / unit * unit;
 }
 
 }  // namespace
@@ -59,16 +49,6 @@ void* huge_alloc(std::size_t bytes) {
   if (bytes == 0) return nullptr;
 #if defined(__linux__)
   const std::size_t len = mapping_length(bytes);
-#if defined(MAP_HUGETLB)
-  if (bytes >= kHugetlbThreshold) {
-    // Without MAP_NORESERVE the pool reservation happens here, so a
-    // depleted or absent pool fails the mmap itself — no lazy-fault
-    // surprises later.
-    void* p = mmap(nullptr, len, PROT_READ | PROT_WRITE,
-                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_HUGETLB, -1, 0);
-    if (p != MAP_FAILED) return p;
-  }
-#endif
   void* p = mmap(nullptr, len, PROT_READ | PROT_WRITE,
                  MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
   if (p == MAP_FAILED) throw std::bad_alloc{};  // genuine memory exhaustion
@@ -84,8 +64,7 @@ void* huge_alloc(std::size_t bytes) {
 void huge_free(void* ptr, std::size_t bytes) noexcept {
   if (ptr == nullptr) return;
 #if defined(__linux__)
-  // Every Linux allocation is an mmap (huge_alloc throws rather than fall
-  // back to the heap), so the length derivation below is always valid.
+  // Every Linux allocation is an mmap of mapping_length(bytes).
   (void)munmap(ptr, mapping_length(bytes));
 #else
   (void)bytes;

@@ -5,18 +5,15 @@
 // With 4 KiB pages every such read risks a TLB miss, and — worse — software
 // prefetches that miss the TLB are dropped on common x86 cores, so the
 // windowed lead-pass prefetch in the generate phase only pays off when the
-// arena sits on big pages. Two mechanisms, tried in order:
+// arena sits on big pages. The mechanism is transparent hugepages: large
+// arrays are mapped in whole 2 MiB units and advised MADV_HUGEPAGE, a hint
+// the kernel may honor lazily, or never (THP in "madvise" mode with no
+// compaction — some virtualized kernels simply don't supply them). Explicit
+// hugetlb pages are not used: they need a reserved kernel pool.
 //
-//   1. Explicit hugetlb pages (mmap MAP_HUGETLB): guaranteed 2 MiB mappings
-//      drawn from the kernel's reserved pool (/proc/sys/vm/nr_hugepages).
-//      Fails cleanly when the pool is empty or absent.
-//   2. Transparent hugepages (madvise MADV_HUGEPAGE): a hint the kernel may
-//      honor lazily, or never (THP in "madvise" mode with no compaction —
-//      some virtualized kernels simply don't supply them).
-//
-// Everything here is a perf shade only: allocation always succeeds (the
-// final fallback is ordinary anonymous memory), contents start zeroed on
-// every path, and no observable engine behavior depends on which path won.
+// Everything here is a perf shade only: allocation always succeeds unless
+// memory is exhausted, contents start zeroed, and no observable engine
+// behavior depends on whether the hint was honored.
 
 #pragma once
 
@@ -34,10 +31,10 @@ namespace pob::scale {
 /// changes observable behavior.
 void advise_hugepages(const void* data, std::size_t bytes);
 
-/// Allocates `bytes` of zero-filled memory, preferring explicit 2 MiB
-/// hugetlb pages for large requests and falling back to ordinary pages
-/// (with a THP hint) when the hugetlb pool can't serve it. Never returns
-/// nullptr for a nonzero request; returns nullptr for bytes == 0.
+/// Allocates `bytes` of zero-filled memory: an anonymous mapping, rounded to
+/// whole 2 MiB pages for requests of 1 MiB or more, with a THP hint. Throws
+/// std::bad_alloc when the mapping fails; never returns nullptr for a
+/// nonzero request; returns nullptr for bytes == 0.
 /// Release with huge_free(ptr, bytes) using the same byte count.
 void* huge_alloc(std::size_t bytes);
 

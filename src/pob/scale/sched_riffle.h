@@ -28,14 +28,16 @@
 // engine therefore requires download capacity >= 2 for this scheduler; the
 // merge admits every intent verbatim.
 //
-// begin_tick materializes the tick's transfers once, serially, sorted by
-// sender (each node sends at most once per tick), and says so, so the engine
-// makes one inline generate() call over every sender, which copies the
-// buffer — the stream is bit-identical at any job count.
+// begin_tick only advances the segment cursor; generate() writes the tick
+// as one slice straight into the engine's buffer in ascending sender order,
+// with no sort (see emit_barters). Live segments can share clients (a
+// full-cycle segment's tail overlaps its remainder subgroups); their runs
+// merge through scratch reserved at construction, so no later tick allocates.
 
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "pob/scale/engine.h"
@@ -76,18 +78,20 @@ class RiffleScheduler final : public ScaleScheduler {
   /// segments in nondecreasing t0.
   void build(NodeId client0, std::uint32_t p, BlockId block0, std::uint32_t kk,
              Tick t0);
-  void emit_segment(const Segment& seg, Tick tick);
+  void emit_barters(const Segment& seg, Tick tick, std::vector<Transfer>& out) const;
 
   NodeId n_;
   std::vector<Segment> segments_;
   Tick last_tick_ = 0;
 
-  // Per-tick state: a monotone cursor into segments_, the live segments,
-  // and the tick's transfers sorted by sender.
+  // Per-tick state: a monotone cursor into segments_, the live segments, and
+  // the merge scratch (each live segment's run [cursor, end) in merge_buf_).
   std::size_t next_segment_ = 0;
   std::vector<Segment> active_;
-  std::vector<Transfer> tick_buf_;
-  Tick built_tick_ = 0;
+  std::vector<std::pair<std::size_t, std::size_t>> runs_;
+  std::vector<Transfer> merge_buf_;
+  std::size_t tick_bound_ = 0;  // most intents any tick emits
+  Tick begun_tick_ = 0;
 };
 
 }  // namespace pob::scale

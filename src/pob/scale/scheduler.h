@@ -4,23 +4,22 @@
 // The contract that keeps the whole engine bit-identical at any --jobs:
 //
 //   * begin_tick(t) runs serially, once, before any generate() call of tick
-//     t — the place to materialize per-tick state (the riffle scheduler
-//     builds its active-meeting buffer here). It must be a pure function of
-//     (engine state, tick), never of the job count. Ticks strictly increase
-//     from 1 (the engine rejects anything else), so a cursor over the
-//     schedule never needs to rewind. It returns true iff it materialized
-//     the whole tick, so that generate() only copies a ready buffer: the
-//     engine then makes ONE call, generate(t, 0, 0, n, out), on the calling
-//     thread, and the merge walks that single shard — the sender shards are
-//     fine enough (ScaleOptions::shard_nodes) that slicing a ready buffer
-//     per shard would cost more than the copy. The answer changes only
-//     where the work runs and how the stream is split, never an intent.
+//     t — the place to advance per-tick state (the riffle moves its segment
+//     cursor here). It must be a pure function of (engine state, tick),
+//     never of the job count. Ticks strictly increase from 1 (the engine
+//     rejects anything else), so a cursor never needs to rewind. It returns
+//     true iff the tick is generated as one slice on the calling thread: the
+//     engine then makes ONE call, generate(t, 0, 0, n, out), and the merge
+//     walks that single shard — for a tick of a few hundred arithmetic
+//     intents, the pool or per-shard slices (ScaleOptions::shard_nodes)
+//     would cost more than the emission. The answer changes only where the
+//     work runs and how the stream is split, never an intent.
 //   * generate(t, shard, first, last, out) appends every intent of tick t
 //     whose SENDER lies in [first, last), in ascending sender order, to
-//     `out`. On a tick begin_tick did not materialize, the calls cover the
-//     intent shards [s * shard_nodes, (s + 1) * shard_nodes) and may run
-//     concurrently on the thread pool; a shard's intents must not depend on
-//     which thread runs it or on whether other shards ran first.
+//     `out`. On a tick begin_tick did not claim as one slice, the calls
+//     cover the intent shards [s * shard_nodes, (s + 1) * shard_nodes) and
+//     may run concurrently on the thread pool; a shard's intents must not
+//     depend on which thread runs it or on whether other shards ran first.
 //     Concatenating the shards in ascending shard order yields the canonical
 //     (sender-ordered) intent stream the merge admits against.
 //   * the merge phase enforces only RECEIVER-side constraints (download
@@ -79,14 +78,14 @@ class ScaleScheduler {
   virtual ~ScaleScheduler() = default;
 
   /// Serial per-tick hook; see the contract above. Returns true iff the
-  /// tick is now materialized, i.e. the next generate() call spans every
-  /// sender. Default: nothing to do, generate() does the work.
+  /// tick is generated as one slice on the calling thread, i.e. the next
+  /// generate() call spans every sender. Default: sharded calls do the work.
   virtual bool begin_tick(Tick /*tick*/) { return false; }
 
   /// Appends tick `tick`'s intents with sender in [first, last) to `out`,
   /// ascending by sender. `shard` is the intent-shard index (shard-owned
   /// scratch lives behind it); shards partition [0, n) contiguously — one
-  /// shard, [0, n), on a materialized tick.
+  /// shard, [0, n), on a one-slice tick.
   virtual void generate(Tick tick, std::uint32_t shard, NodeId first,
                         NodeId last, std::vector<Transfer>& out) = 0;
 

@@ -24,10 +24,6 @@ class MultiServerScheduler final : public Scheduler {
   std::string_view name() const override { return "multi-server-binomial"; }
   void plan_tick(Tick tick, const SwarmState& state, std::vector<Transfer>& out) override;
 
-  std::uint32_t num_groups() const {
-    return static_cast<std::uint32_t>(pipelines_.size());
-  }
-
  private:
   std::vector<std::unique_ptr<BinomialPipelineScheduler>> pipelines_;
 };

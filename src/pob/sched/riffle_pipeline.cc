@@ -30,14 +30,8 @@ void RifflePipelineScheduler::emit(const std::vector<NodeId>& clients,
   const auto kk = static_cast<std::uint32_t>(blocks.size());
   if (p == 0 || kk == 0) return;
 
-  if (p == 1) {
-    // Degenerate riffle: the server streams every block to the lone client.
-    for (std::uint32_t j = 0; j < kk; ++j) {
-      meetings_.push_back({t0 + j + 1, next_seq_++, {{kServer, clients[0], blocks[j]}}});
-    }
-    return;
-  }
-
+  // At p = 1 the cycles below are kk lone server hand-offs: the server
+  // streams every block to the lone client.
   const std::uint32_t cycles = kk / p;
   const std::uint32_t rem = kk % p;
 
@@ -63,30 +57,16 @@ void RifflePipelineScheduler::emit(const std::vector<NodeId>& clients,
   if (rem == 0) return;
 
   // Remainder: split clients into subgroups of `rem`, serve each subgroup
-  // its own copy of the leftover blocks in sequence; the final subgroup may
-  // be smaller than `rem`, in which case the whole algorithm recurses.
+  // its own copy of the leftover blocks in sequence — one full cycle apiece;
+  // the final subgroup may be smaller than `rem`, and then the whole
+  // algorithm recurses.
   const Tick t1 = t0 + cycles * p;
   std::vector<BlockId> leftover(blocks.begin() + cycles * p, blocks.end());
   std::uint32_t h = 0;
   for (std::uint32_t start = 0; start < p; start += rem, ++h) {
     const std::uint32_t size = std::min(rem, p - start);
     std::vector<NodeId> sub(clients.begin() + start, clients.begin() + start + size);
-    const Tick base = t1 + h * rem;
-    if (size == rem) {
-      for (std::uint32_t j = 0; j < rem; ++j) {
-        meetings_.push_back({base + j + 1, next_seq_++, {{kServer, sub[j], leftover[j]}}});
-      }
-      for (std::uint32_t i = 0; i < rem; ++i) {
-        for (std::uint32_t j = i + 1; j < rem; ++j) {
-          meetings_.push_back({base + (i + 1) + (j + 1),
-                               next_seq_++,
-                               {{sub[i], sub[j], leftover[i]},
-                                {sub[j], sub[i], leftover[j]}}});
-        }
-      }
-    } else {
-      emit(sub, leftover, base);
-    }
+    emit(sub, leftover, t1 + h * rem);
   }
 }
 

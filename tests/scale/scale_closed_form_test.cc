@@ -18,7 +18,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -26,12 +28,14 @@
 #include "pob/analysis/bounds.h"
 #include "pob/check/oracle.h"
 #include "pob/core/engine.h"
+#include "pob/core/swarm_state.h"
 #include "pob/mech/barter.h"
 #include "pob/overlay/builders.h"
 #include "pob/sched/binomial_pipeline.h"
 #include "pob/sched/riffle_pipeline.h"
 #include "pob/scale/engine.h"
 #include "pob/scale/mirror.h"
+#include "pob/scale/sched_riffle.h"
 
 namespace pob::scale {
 namespace {
@@ -160,6 +164,130 @@ TEST(ScaleClosedFormTrace, RifflePerTickSetsEqualTheCoreScheduler) {
     ASSERT_TRUE(scale_r.completed && core_r.completed);
     ASSERT_EQ(scale_r.completion_tick, core_r.completion_tick) << "n=" << n;
     EXPECT_EQ(sorted_trace(scale_r), sorted_trace(core_r)) << "n=" << n << " k=" << k;
+  }
+}
+
+// --- Emission order: the riffle emits each tick ascending by sender with no
+// sort, so the raw trace must already be the core tick sorted by sender. ---
+
+class ScaleRiffleOrder : public ::testing::TestWithParam<std::uint32_t> {};
+
+TEST_P(ScaleRiffleOrder, RawTraceAscendsBySenderAndIsTheSortedCoreTick) {
+  const std::uint32_t n = GetParam();
+  // Full cycles (k >= n - 1), remainders and the subgroup recursion.
+  for (const std::uint32_t k :
+       {1u, 2u, 3u, 7u, 21u, 63u, 64u, 65u, 127u, 300u, 1000u, 3000u}) {
+    EngineConfig cfg = det_cfg(n, k, 2);
+    cfg.record_trace = true;
+    // Core's legalizer keeps hash-map entries per transfer (18 s and 1.6 GB
+    // at 4096 x 3000), so it is the reference up to n * k = 2^21; above that
+    // the raw order, transfer count and job invariance are checked.
+    std::unique_ptr<RifflePipelineScheduler> core;
+    if (std::uint64_t{n} * k <= (std::uint64_t{1} << 21)) {
+      core = std::make_unique<RifflePipelineScheduler>(n, k, 1, 2);
+    }
+    const SwarmState state(n, k);
+    std::vector<Transfer> want;
+    std::uint64_t digest_j1 = 0;
+    for (const unsigned jobs : {1u, 4u}) {
+      const RunResult r = run_det(cfg, SchedKind::kRifflePipeline, jobs);
+      ASSERT_TRUE(r.completed);
+      ASSERT_EQ(r.total_transfers, static_cast<Count>(n - 1) * k);
+      // The digest covers the raw trace, so jobs 4 must replay jobs 1 exactly.
+      if (jobs == 1) digest_j1 = check::run_result_digest(r);
+      ASSERT_EQ(check::run_result_digest(r), digest_j1) << "n=" << n << " k=" << k;
+      if (core) {
+        ASSERT_EQ(r.trace.size(), core->schedule_length());
+      }
+      for (std::size_t t = 0; t < r.trace.size(); ++t) {
+        const TickSet& got = r.trace[t];
+        const auto where = "n=" + std::to_string(n) + " k=" + std::to_string(k) +
+                           " jobs=" + std::to_string(jobs) +
+                           " tick=" + std::to_string(t + 1);
+        ASSERT_EQ(std::adjacent_find(got.begin(), got.end(),
+                                     [](const Transfer& a, const Transfer& b) {
+                                       return a.from >= b.from;
+                                     }),
+                  got.end())
+            << where;
+        if (!core) continue;
+        want.clear();
+        core->plan_tick(static_cast<Tick>(t + 1), state, want);
+        std::sort(want.begin(), want.end(),
+                  [](const Transfer& a, const Transfer& b) { return a.from < b.from; });
+        ASSERT_EQ(got, want) << where;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(PowersOfTwo, ScaleRiffleOrder,
+                         ::testing::Values(2u, 4u, 8u, 16u, 32u, 64u, 128u, 256u,
+                                           512u, 1024u, 2048u, 4096u),
+                         [](const auto& param_info) {
+                           return "n" + std::to_string(param_info.param);
+                         });
+
+// --- The riffle's generate() contract holds in Release builds too. ---
+
+std::string logic_error_for(const std::function<void()>& call) {
+  try {
+    call();
+  } catch (const std::logic_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ScaleRiffleContract, GenerateRejectsAMissingBeginTickAndAPartialRange) {
+  ScaleOptions opt;
+  opt.scheduler = SchedKind::kRifflePipeline;
+  const Engine engine(det_cfg(16, 21, 2),
+                      std::make_shared<Topology>(Topology::complete(16)), opt, 1);
+  RiffleScheduler sched(engine);
+  std::vector<Transfer> out;
+  EXPECT_EQ(logic_error_for([&] { sched.generate(1, 0, 0, 16, out); }),
+            "scale riffle: generate(tick 1) without begin_tick of that tick");
+  ASSERT_TRUE(sched.begin_tick(1));
+  EXPECT_EQ(logic_error_for([&] { sched.generate(2, 0, 0, 16, out); }),
+            "scale riffle: generate(tick 2) without begin_tick of that tick");
+  EXPECT_EQ(logic_error_for([&] { sched.generate(1, 0, 0, 8, out); }),
+            "scale riffle: generate over senders [0, 8); a riffle tick is one "
+            "slice over [0, 16)");
+  EXPECT_EQ(logic_error_for([&] { sched.generate(1, 1, 8, 16, out); }),
+            "scale riffle: generate over senders [8, 16); a riffle tick is one "
+            "slice over [0, 16)");
+  EXPECT_TRUE(out.empty());
+  sched.generate(1, 0, 0, 16, out);
+  EXPECT_EQ(out, (std::vector<Transfer>{{kServer, 1, 0}}));
+}
+
+TEST(ScaleRiffleContract, NoTickAfterTheFirstGrowsABuffer) {
+  // Full cycles whose tails overlap the remainder subgroups (the merging
+  // ticks), the pure subgroup recursion, and barter-det's shape scaled down.
+  for (const auto& [n, k] :
+       {std::pair{16u, 21u}, {64u, 65u}, {128u, 300u}, {4096u, 256u}, {1024u, 3000u}}) {
+    ScaleOptions opt;
+    opt.scheduler = SchedKind::kRifflePipeline;
+    const Engine engine(det_cfg(n, k, 2),
+                        std::make_shared<Topology>(Topology::complete(n)), opt, 1);
+    RiffleScheduler sched(engine);
+    std::vector<Transfer> out;
+    std::size_t capacity = 0;
+    std::uint64_t scratch = 0;
+    for (Tick t = 1; t <= sched.last_tick(); ++t) {
+      out.clear();
+      ASSERT_TRUE(sched.begin_tick(t));
+      sched.generate(t, 0, 0, n, out);
+      if (t == 1) {
+        capacity = out.capacity();
+        scratch = sched.memory_bytes();
+      }
+      const auto where = "n=" + std::to_string(n) + " k=" + std::to_string(k) +
+                         " tick=" + std::to_string(t);
+      ASSERT_EQ(out.capacity(), capacity) << where;
+      ASSERT_EQ(sched.memory_bytes(), scratch) << where;
+    }
   }
 }
 
