@@ -6,6 +6,8 @@
 #include <sstream>
 #include <unordered_set>
 
+#include "pob/core/pair_table.h"
+
 namespace pob {
 
 double RunResult::mean_client_completion() const {
@@ -217,6 +219,7 @@ RunResult run_with_state(const EngineConfig& config, Scheduler& scheduler,
   };
 
   std::vector<NodeId> leaving;  // depart_on_complete: who finished last tick
+  PairTable delivered;          // this tick's (receiver, block) keys
 
   Tick tick = 0;
   while (!state.all_complete() && tick < cap) {
@@ -287,15 +290,12 @@ RunResult run_with_state(const EngineConfig& config, Scheduler& scheduler,
     }
     tick_transfers.swap(kept);
     // No duplicate delivery of one block to one receiver within a tick (the
-    // handshake protocol of §2.4.2 exists precisely to prevent this).
-    {
-      std::vector<std::uint64_t> keys;
-      keys.reserve(tick_transfers.size());
-      for (const Transfer& tr : tick_transfers) {
-        keys.push_back((static_cast<std::uint64_t>(tr.to) << 32) | tr.block);
-      }
-      std::sort(keys.begin(), keys.end());
-      if (std::adjacent_find(keys.begin(), keys.end()) != keys.end()) {
+    // handshake protocol of §2.4.2 exists precisely to prevent this). A pass
+    // of its own, after every per-transfer check, so a tick with several
+    // faults reports the same one the reference engine does.
+    delivered.begin_tick(tick_transfers.size());
+    for (const Transfer& tr : tick_transfers) {
+      if (!delivered.insert(delivery_key(tr.to, tr.block))) {
         violation(tick, tick_transfers.front(),
                   "same block delivered twice to one receiver in one tick");
       }

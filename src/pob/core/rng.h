@@ -9,6 +9,8 @@
 #include <array>
 #include <cstdint>
 
+#include "pob/core/hash.h"
+
 namespace pob {
 
 /// Small, fast, deterministic PRNG (xoshiro256**), seeded via splitmix64.
@@ -25,7 +27,7 @@ class Rng {
   /// engine's generate phase seeds a fresh stream and draws from it for
   /// every (tick, node) pair — hundreds of millions of times per run — and
   /// an out-of-line call per draw was measurable there.
-  explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL) {
+  explicit Rng(std::uint64_t seed = kSplitmixGamma) {
     std::uint64_t s = seed;
     for (auto& word : state_) word = splitmix(s);
   }
@@ -90,11 +92,9 @@ class Rng {
  private:
   /// splitmix64: used to expand a 64-bit seed into xoshiro state.
   static std::uint64_t splitmix(std::uint64_t& x) {
-    x += 0x9e3779b97f4a7c15ULL;
-    std::uint64_t z = x;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
+    const std::uint64_t z = mix64(x);
+    x += kSplitmixGamma;
+    return z;
   }
 
   static std::uint64_t rotl(std::uint64_t x, int k) {

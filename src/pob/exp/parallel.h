@@ -20,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "pob/core/hash.h"
 #include "pob/exp/sweep.h"
 
 namespace pob {
@@ -35,14 +36,8 @@ namespace pob {
 inline std::uint64_t trial_seed(std::uint64_t base, std::uint32_t trial) {
   // Two splitmix64 steps: the first diffuses the base, the second mixes in
   // the trial index, so seeds for consecutive trials share no structure.
-  const auto mix = [](std::uint64_t x) {
-    x += 0x9e3779b97f4a7c15ULL;
-    std::uint64_t z = x;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-  };
-  return mix(mix(base) ^ (0xd1342543de82ef95ULL * (static_cast<std::uint64_t>(trial) + 1)));
+  return mix64(mix64(base) ^
+               (0xd1342543de82ef95ULL * (static_cast<std::uint64_t>(trial) + 1)));
 }
 
 /// Hardware concurrency, with a floor of 1 when the runtime reports 0.

@@ -22,9 +22,11 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "pob/core/mechanism.h"
+#include "pob/core/pair_table.h"
 #include "pob/core/types.h"
 
 namespace pob {
@@ -40,6 +42,14 @@ namespace pob {
 /// number of pairs that ever traded.
 class CreditLedger {
  public:
+  /// first_excess's reused scratch, kept by the caller so the ledger stays
+  /// one slot array: the tick's pairs in first-seen order with their net
+  /// over the tick; `index` maps a pair key to 1 + its position.
+  struct TickNet {
+    PairTable index;
+    std::vector<std::pair<std::uint64_t, std::int64_t>> pairs;
+  };
+
   /// A client pair whose net would leave [-limit, limit] (see first_excess).
   struct Excess {
     NodeId lo;
@@ -56,9 +66,10 @@ class CreditLedger {
   /// Nets one tick's client->client `transfers` (server uploads skipped)
   /// per pair and returns the lowest (lo, hi) pair whose end-of-tick net
   /// would exceed `limit` in either direction; nullopt when none does.
-  /// Reciprocal transfers within the tick cancel.
+  /// Reciprocal transfers within the tick cancel. O(transfers): one
+  /// hashed pass to net, then one ledger lookup per distinct pair.
   std::optional<Excess> first_excess(std::span<const Transfer> transfers,
-                                     std::uint32_t limit) const;
+                                     std::uint32_t limit, TickNet& scratch) const;
 
   /// Pairs with a nonzero net.
   std::size_t num_pairs() const { return size_; }
@@ -124,6 +135,7 @@ class CreditLimited final : public Mechanism {
  private:
   std::uint32_t credit_limit_;
   CreditLedger ledger_;
+  CreditLedger::TickNet tick_net_;
 };
 
 /// §3.3 cyclic ("triangular" at max_cycle_len = 3) barter with an optional
@@ -148,14 +160,37 @@ class CyclicBarter final : public Mechanism {
   const CreditLedger& ledger() const { return ledger_; }
 
  private:
-  /// Marks which of `transfers` lie on a directed client-transfer cycle of
-  /// length <= max_cycle_len_. Returns an error for transfers to the server.
-  std::optional<std::string> classify(std::span<const Transfer> transfers,
-                                      std::vector<char>& cleared) const;
+  /// Sets cleared_[i] when transfers[i] is a server upload or lies on a
+  /// directed client-transfer cycle of length <= max_cycle_len_. Returns an
+  /// error for transfers to the server.
+  std::optional<std::string> classify(std::span<const Transfer> transfers);
 
   std::uint32_t max_cycle_len_;
   std::uint32_t credit_limit_;
   CreditLedger ledger_;
+
+  // Per-call scratch, reused. The tick's client transfers are indexed by
+  // sender in CSR form: node u's out-edges, in stream order, are
+  // out_edges_[out_[u].begin, out_[u].begin + out_[u].count) when
+  // out_[u].stamp == stamp_ (one stamp per classify call).
+  struct OutRange {
+    std::uint32_t stamp = 0;
+    std::uint32_t begin = 0;
+    std::uint32_t count = 0;
+  };
+  struct Frame {  // DFS: a node and its next out-edge
+    NodeId node;
+    std::uint32_t cursor;
+  };
+  std::uint32_t stamp_ = 0;
+  std::vector<OutRange> out_;  // grown to the highest sender seen
+  std::vector<NodeId> senders_;
+  std::vector<std::uint32_t> out_edges_;
+  std::vector<Frame> stack_;
+  std::vector<std::uint32_t> path_;
+  std::vector<char> cleared_;
+  std::vector<Transfer> uncleared_;
+  CreditLedger::TickNet tick_net_;
 };
 
 /// Convenience: the paper's triangular barter with credit limit 1.

@@ -2,20 +2,10 @@
 #include <cassert>
 #include <utility>
 
+#include "pob/core/hash.h"
 #include "pob/mech/barter.h"
 
 namespace pob {
-namespace {
-
-// splitmix64 finalizer; good avalanche for open-addressed probing.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 std::size_t CreditLedger::find(std::uint64_t k) const {
   const std::size_t mask = slots_.size() - 1;
@@ -78,27 +68,37 @@ void CreditLedger::erase_at(std::size_t i) {
 }
 
 std::optional<CreditLedger::Excess> CreditLedger::first_excess(
-    std::span<const Transfer> transfers, std::uint32_t limit) const {
-  // (pair key, +-1) per client transfer, same sign convention as the
-  // ledger; sorting by key makes the report the lowest violating pair.
-  std::vector<std::pair<std::uint64_t, std::int64_t>> steps;
-  steps.reserve(transfers.size());
+    std::span<const Transfer> transfers, std::uint32_t limit, TickNet& scratch) const {
+  // Net the tick per pair (+1 lo -> hi, -1 back, as in the ledger) in one
+  // pass, then settle each distinct pair once, keeping the lowest violating
+  // key: the same report a sort by key would give.
+  scratch.index.begin_tick(transfers.size());
+  scratch.pairs.clear();
   for (const Transfer& tr : transfers) {
     if (tr.from == kServer) continue;
-    steps.emplace_back(tr.from < tr.to ? key(tr.from, tr.to) : key(tr.to, tr.from),
-                       tr.from < tr.to ? 1 : -1);
+    const bool up = tr.from < tr.to;
+    const std::uint64_t k = up ? key(tr.from, tr.to) : key(tr.to, tr.from);
+    std::uint32_t& pos = scratch.index.value(k);
+    if (pos == 0) {
+      scratch.pairs.emplace_back(k, 0);
+      pos = static_cast<std::uint32_t>(scratch.pairs.size());
+    }
+    scratch.pairs[pos - 1].second += up ? 1 : -1;
   }
-  std::sort(steps.begin(), steps.end());
   const auto bound = static_cast<std::int64_t>(limit);
-  for (std::size_t i = 0; i < steps.size();) {
-    const std::uint64_t k = steps[i].first;
+  std::optional<Excess> lowest;
+  std::uint64_t lowest_key = kEmpty;
+  for (const auto& [k, tick_net] : scratch.pairs) {
+    if (k > lowest_key) continue;  // cannot be the report
     const auto lo = static_cast<NodeId>(k >> 32);
     const auto hi = static_cast<NodeId>(k & 0xffffffffULL);
-    std::int64_t end = net(lo, hi);
-    for (; i < steps.size() && steps[i].first == k; ++i) end += steps[i].second;
-    if (end > bound || -end > bound) return Excess{lo, hi, end};
+    const std::int64_t end = net(lo, hi) + tick_net;
+    if (end > bound || -end > bound) {
+      lowest = Excess{lo, hi, end};
+      lowest_key = k;
+    }
   }
-  return std::nullopt;
+  return lowest;
 }
 
 }  // namespace pob

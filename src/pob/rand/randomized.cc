@@ -74,9 +74,13 @@ bool RandomizedScheduler::acceptable(NodeId u, NodeId v, Tick tick,
     for (const NodeId c : chosen_) {
       if (c == v) return false;
     }
-    if (!precheck_->may_upload(u, v)) return false;
   }
-  return state.blocks_of(u).has_useful(state.blocks_of(v), incoming_of(v, tick));
+  // Possession before the ledger: both are pure predicates, so the order
+  // changes no decision, but a probe rejected here never hashes into it.
+  if (!state.blocks_of(u).has_useful(state.blocks_of(v), incoming_of(v, tick))) {
+    return false;
+  }
+  return precheck_ == nullptr || precheck_->may_upload(u, v);
 }
 
 NodeId RandomizedScheduler::find_target(NodeId u, Tick tick, const SwarmState& state) {

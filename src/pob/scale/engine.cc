@@ -9,6 +9,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "pob/core/hash.h"
 #include "pob/scale/hugemem.h"
 #include "pob/scale/sched_binomial.h"
 #include "pob/scale/sched_randomized.h"
@@ -17,14 +18,6 @@
 namespace pob::scale {
 
 namespace {
-
-// splitmix64 finalizer; good avalanche for open-addressed probing.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 std::uint64_t delivery_key(NodeId to, BlockId block) {
   return (static_cast<std::uint64_t>(to) << 32) | block;
@@ -75,32 +68,6 @@ void check_intent_bound(std::uint64_t bound) {
 
 const char* scan_kernel_name(ScanKernel kernel) {
   return kernel == ScanKernel::kScalar ? "scalar" : "guided";
-}
-
-// --- PairTable -----------------------------------------------------------
-
-void Engine::PairTable::begin_tick(std::size_t expected) {
-  std::size_t want = 16;
-  while (want < expected * 2) want <<= 1;  // load factor <= 0.5
-  if (slots_.size() < want) {
-    slots_.assign(want, Slot{0, 0});
-    mask_ = want - 1;
-    epoch_ = 0;
-  }
-  if (++epoch_ == 0) {  // epoch wrapped: stale stamps would alias
-    for (Slot& s : slots_) s.epoch = 0;
-    epoch_ = 1;
-  }
-}
-
-bool Engine::PairTable::insert(std::uint64_t key) {
-  auto i = static_cast<std::size_t>(hash(key) & mask_);
-  while (slots_[i].epoch == epoch_) {
-    if (slots_[i].key == key) return false;
-    i = (i + 1) & static_cast<std::size_t>(mask_);
-  }
-  slots_[i] = Slot{key, epoch_};
-  return true;
 }
 
 // --- ProbeCache ----------------------------------------------------------

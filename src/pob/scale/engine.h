@@ -85,6 +85,7 @@
 #include <vector>
 
 #include "pob/core/engine.h"
+#include "pob/core/pair_table.h"
 #include "pob/core/rng.h"
 #include "pob/core/types.h"
 #include "pob/exp/parallel.h"
@@ -353,39 +354,6 @@ class Engine {
   // surface (top_block, has, config).
   friend class RandomizedScheduler;
 
-  // A (receiver, block) admission table: open-addressed, epoch-stamped so a
-  // tick reset is O(1) and a million inserts touch no allocator. One table
-  // per receiver shard; a receiver's deliveries land in exactly one table,
-  // and only once it is offered a second block in a tick (see admit).
-  class PairTable {
-   public:
-    void begin_tick(std::size_t expected);
-    bool insert(std::uint64_t key);  ///< false if already present this tick
-
-    std::uint64_t memory_bytes() const {
-      return slots_.capacity() * sizeof(Slot);
-    }
-
-   private:
-    // splitmix64 finalizer; good avalanche for open-addressed probing.
-    static std::uint64_t hash(std::uint64_t x) {
-      x += 0x9e3779b97f4a7c15ULL;
-      x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-      x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-      return x ^ (x >> 31);
-    }
-
-    // Key and epoch share a slot so a probe touches one cache line, not a
-    // line in each of two parallel arrays.
-    struct Slot {
-      std::uint64_t key;
-      std::uint32_t epoch;
-    };
-    std::vector<Slot> slots_;
-    std::uint64_t mask_ = 0;
-    std::uint32_t epoch_ = 0;
-  };
-
   // A direct-mapped cache of failed usefulness scans, one per sender shard
   // (shard s only ever probes senders it owns, so no cross-thread access).
   // An entry says "su \ sv was empty when u was at version vu and v at
@@ -653,7 +621,10 @@ class Engine {
   std::vector<Tick> down_stamp_;            // last tick with an admitted intent
   std::vector<BlockId> first_block_;        // that tick's first admitted block
   std::vector<NodeId> first_from_;          // and its sender (credit mode only)
-  std::vector<PairTable> delivered_;        // one per receiver shard
+  // (receiver, block) admission tables, one per receiver shard: a
+  // receiver's deliveries land in exactly one, and only once it is offered
+  // a second block in a tick (see admit).
+  std::vector<PairTable> delivered_;
   std::vector<std::size_t> intent_offsets_; // canonical stream offsets, S+1
   std::vector<std::uint32_t> scatter_pos_;  // S x R counts, then cursors
   std::vector<std::uint32_t> bucket_offsets_;  // R+1 into bucket_

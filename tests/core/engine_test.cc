@@ -128,6 +128,54 @@ TEST(Engine, RejectsDownloadOverCapacity) {
   EXPECT_TRUE(run(cfg2, s3).completed);
 }
 
+// Runs `sched` on `cfg` and returns the EngineViolation message, failing
+// the test if nothing is thrown.
+std::string run_violation(const EngineConfig& cfg, Scheduler& sched) {
+  try {
+    run(cfg, sched);
+  } catch (const EngineViolation& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "expected EngineViolation";
+  return "";
+}
+
+// Tick 1 hands block 0 to clients 1-3 and block 1 to clients 4-6; tick 2
+// runs `tick2`.
+LambdaScheduler two_tick_schedule(std::vector<Transfer> tick2) {
+  return LambdaScheduler([tick2](Tick t, const SwarmState&, std::vector<Transfer>& out) {
+    if (t == 1) {
+      for (NodeId c = 1; c <= 6; ++c) out.push_back({kServer, c, c <= 3 ? 0u : 1u});
+    } else {
+      out = tick2;
+    }
+  });
+}
+
+EngineConfig two_tick_config() {
+  EngineConfig cfg = tiny(8, 2);
+  cfg.server_upload_capacity = 6;
+  return cfg;
+}
+
+TEST(Engine, RejectsDuplicateDeliveryFarApartNamingTheTicksFirstTransfer) {
+  // The two copies of (7, block 0) sit at the ends of the tick, with other
+  // legal transfers between them; the message names the tick's first one.
+  LambdaScheduler s = two_tick_schedule(
+      {{4, 1, 1}, {1, 7, 0}, {5, 2, 1}, {6, 3, 1}, {2, 4, 0}, {3, 7, 0}});
+  EXPECT_EQ(run_violation(two_tick_config(), s),
+            "tick 2: transfer 4 -> 1 (block 1): same block delivered twice to one "
+            "receiver in one tick");
+}
+
+TEST(Engine, PerTransferFaultOutranksADuplicateDelivery) {
+  // A duplicate (7, block 0) first in the stream, then client 1's second
+  // upload over its capacity of 1: the capacity fault is the one reported.
+  LambdaScheduler s = two_tick_schedule({{1, 7, 0}, {2, 7, 0}, {1, 4, 0}});
+  EXPECT_EQ(run_violation(two_tick_config(), s),
+            "tick 2: transfer 1 -> 4 (block 0): sender over upload capacity");
+}
+
 TEST(Engine, RejectsSelfTransferAndBadIds) {
   LambdaScheduler self([](Tick, const SwarmState&, std::vector<Transfer>& out) {
     out.push_back({1, 1, 0});

@@ -17,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "pob/core/hash.h"
 #include "pob/core/rng.h"
 #include "pob/mech/barter.h"
 
@@ -50,11 +51,7 @@ class MapLedger {
 
 /// The ledger's home slot for pair (lo, hi) in a table of `slots` slots.
 std::size_t home_slot(NodeId lo, NodeId hi, std::size_t slots) {
-  std::uint64_t x = (static_cast<std::uint64_t>(lo) << 32) | hi;
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return (x ^ (x >> 31)) & (slots - 1);
+  return mix64((static_cast<std::uint64_t>(lo) << 32) | hi) & (slots - 1);
 }
 
 /// The first `count` pairs (lo, hi), in (lo, hi) order, whose home slot is

@@ -103,5 +103,48 @@ TEST(CreditLimited, ReportsTheLowestViolatingPair) {
   }
 }
 
+TEST(CreditLimited, ReportsTheLowestPairWhenItsDebtIsOld) {
+  CreditLimited mech(1);
+  const SwarmState s = rich_state();
+  const std::vector<Transfer> debt = {{1, 3, 1}};
+  ASSERT_EQ(mech.check_tick(2, debt, s), std::nullopt);
+  mech.commit_tick(2, debt, s);
+  // {2, 3} overdraws within the tick and comes first; {1, 3} overdraws only
+  // through its ledger debt, yet as the lower pair it is the one reported.
+  const std::vector<Transfer> tick = {{2, 3, 1}, {2, 3, 2}, {1, 3, 2}};
+  EXPECT_EQ(mech.check_tick(3, tick, s),
+            "credit limit 1 exceeded between clients 1 and 3 (end-of-tick net 2)");
+}
+
+TEST(CreditLimited, AcceptsAReciprocalExchangeAtTheLimit) {
+  CreditLimited mech(1);
+  const SwarmState s = rich_state();
+  const std::vector<Transfer> debt = {{1, 2, 1}};
+  ASSERT_EQ(mech.check_tick(2, debt, s), std::nullopt);
+  mech.commit_tick(2, debt, s);
+  ASSERT_FALSE(mech.may_upload(1, 2));  // at the limit
+  // Another 1 -> 2 block is legal when 2 -> 1 returns one in the same tick.
+  const std::vector<Transfer> exchange = {{1, 2, 2}, {2, 1, 5}};
+  EXPECT_EQ(mech.check_tick(3, exchange, s), std::nullopt);
+  mech.commit_tick(3, exchange, s);
+  EXPECT_EQ(mech.ledger().net(1, 2), 1);
+}
+
+TEST(CreditLimited, SmallTickAfterALargeOneSeesNoStalePair) {
+  CreditLimited mech(1);
+  const SwarmState s(64, 2);  // check_tick reads transfers and the ledger only
+  // 40 distinct pairs at net 1 plus an overdrawn {1, 2}: the scratch grows.
+  std::vector<Transfer> large;
+  for (NodeId u = 1; u <= 40; ++u) large.push_back({u, u + 1, 0});
+  large.push_back({1, 2, 1});
+  EXPECT_EQ(mech.check_tick(2, large, s),
+            "credit limit 1 exceeded between clients 1 and 2 (end-of-tick net 2)");
+  const std::vector<Transfer> small = {{5, 9, 0}};
+  EXPECT_EQ(mech.check_tick(2, small, s), std::nullopt);
+  const std::vector<Transfer> small_over = {{7, 3, 0}, {7, 3, 1}};
+  EXPECT_EQ(mech.check_tick(2, small_over, s),
+            "credit limit 1 exceeded between clients 3 and 7 (end-of-tick net -2)");
+}
+
 }  // namespace
 }  // namespace pob
