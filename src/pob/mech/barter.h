@@ -22,7 +22,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "pob/core/mechanism.h"
@@ -30,6 +29,29 @@
 #include "pob/core/types.h"
 
 namespace pob {
+
+/// One tick's client->client transfers netted per unordered client pair,
+/// in O(transfers) through a reused PairTable: +1 for each lo -> hi
+/// transfer, -1 for each hi -> lo, so reciprocal transfers cancel.
+class TickPairNet {
+ public:
+  struct Pair {
+    std::uint64_t key;  ///< (lo << 32) | hi: key order is (lo, hi) order
+    std::int64_t net;   ///< net lo -> hi over the tick
+  };
+
+  /// The distinct client pairs of `transfers`, in first-seen order, with
+  /// their net. Server uploads are skipped. Valid until the next call.
+  std::span<const Pair> tally(std::span<const Transfer> transfers);
+
+  std::uint64_t memory_bytes() const {
+    return index_.memory_bytes() + pairs_.capacity() * sizeof(Pair);
+  }
+
+ private:
+  PairTable index_;  // pair key -> 1 + its position in pairs_
+  std::vector<Pair> pairs_;
+};
 
 /// Pairwise net-transfer ledger between clients. Positive net(u, v) means u
 /// has sent more blocks to v than it received back.
@@ -42,14 +64,6 @@ namespace pob {
 /// number of pairs that ever traded.
 class CreditLedger {
  public:
-  /// first_excess's reused scratch, kept by the caller so the ledger stays
-  /// one slot array: the tick's pairs in first-seen order with their net
-  /// over the tick; `index` maps a pair key to 1 + its position.
-  struct TickNet {
-    PairTable index;
-    std::vector<std::pair<std::uint64_t, std::int64_t>> pairs;
-  };
-
   /// A client pair whose net would leave [-limit, limit] (see first_excess).
   struct Excess {
     NodeId lo;
@@ -69,13 +83,16 @@ class CreditLedger {
   /// Reciprocal transfers within the tick cancel. O(transfers): one
   /// hashed pass to net, then one ledger lookup per distinct pair.
   std::optional<Excess> first_excess(std::span<const Transfer> transfers,
-                                     std::uint32_t limit, TickNet& scratch) const;
+                                     std::uint32_t limit);
 
   /// Pairs with a nonzero net.
   std::size_t num_pairs() const { return size_; }
 
-  /// Heap bytes held by the ledger, exactly: the slot array.
-  std::uint64_t memory_bytes() const { return slots_.size() * sizeof(Slot); }
+  /// Heap bytes held by the ledger, exactly: the slot array and
+  /// first_excess's scratch (empty until first_excess is called).
+  std::uint64_t memory_bytes() const {
+    return slots_.size() * sizeof(Slot) + tick_net_.memory_bytes();
+  }
 
  private:
   // Keyed on (min << 32) | max; net is from min-id to max-id. min < max, so
@@ -98,6 +115,7 @@ class CreditLedger {
 
   std::vector<Slot> slots_;  // empty, or a power-of-two count
   std::size_t size_ = 0;     // occupied slots
+  TickPairNet tick_net_;     // first_excess's scratch
 };
 
 /// §3.1 strict barter: within a tick, client->client transfers must form
@@ -108,6 +126,9 @@ class StrictBarter final : public Mechanism {
   std::string_view name() const override { return "strict-barter"; }
   std::optional<std::string> check_tick(Tick tick, std::span<const Transfer> transfers,
                                         const SwarmState& state) override;
+
+ private:
+  TickPairNet tick_net_;
 };
 
 /// §3.2 credit-limited barter with credit limit s >= 1: at the end of every
@@ -135,7 +156,6 @@ class CreditLimited final : public Mechanism {
  private:
   std::uint32_t credit_limit_;
   CreditLedger ledger_;
-  CreditLedger::TickNet tick_net_;
 };
 
 /// §3.3 cyclic ("triangular" at max_cycle_len = 3) barter with an optional
@@ -160,37 +180,14 @@ class CyclicBarter final : public Mechanism {
   const CreditLedger& ledger() const { return ledger_; }
 
  private:
-  /// Sets cleared_[i] when transfers[i] is a server upload or lies on a
-  /// directed client-transfer cycle of length <= max_cycle_len_. Returns an
-  /// error for transfers to the server.
-  std::optional<std::string> classify(std::span<const Transfer> transfers);
+  /// Marks which of `transfers` lie on a directed client-transfer cycle of
+  /// length <= max_cycle_len_. Returns an error for transfers to the server.
+  std::optional<std::string> classify(std::span<const Transfer> transfers,
+                                      std::vector<char>& cleared) const;
 
   std::uint32_t max_cycle_len_;
   std::uint32_t credit_limit_;
   CreditLedger ledger_;
-
-  // Per-call scratch, reused. The tick's client transfers are indexed by
-  // sender in CSR form: node u's out-edges, in stream order, are
-  // out_edges_[out_[u].begin, out_[u].begin + out_[u].count) when
-  // out_[u].stamp == stamp_ (one stamp per classify call).
-  struct OutRange {
-    std::uint32_t stamp = 0;
-    std::uint32_t begin = 0;
-    std::uint32_t count = 0;
-  };
-  struct Frame {  // DFS: a node and its next out-edge
-    NodeId node;
-    std::uint32_t cursor;
-  };
-  std::uint32_t stamp_ = 0;
-  std::vector<OutRange> out_;  // grown to the highest sender seen
-  std::vector<NodeId> senders_;
-  std::vector<std::uint32_t> out_edges_;
-  std::vector<Frame> stack_;
-  std::vector<std::uint32_t> path_;
-  std::vector<char> cleared_;
-  std::vector<Transfer> uncleared_;
-  CreditLedger::TickNet tick_net_;
 };
 
 /// Convenience: the paper's triangular barter with credit limit 1.

@@ -19,7 +19,7 @@ std::optional<std::string> CreditLimited::check_tick(Tick /*tick*/,
       return "client " + std::to_string(tr.from) + " uploads to the server";
     }
   }
-  if (const auto excess = ledger_.first_excess(transfers, credit_limit_, tick_net_)) {
+  if (const auto excess = ledger_.first_excess(transfers, credit_limit_)) {
     std::ostringstream os;
     os << "credit limit " << credit_limit_ << " exceeded between clients " << excess->lo
        << " and " << excess->hi << " (end-of-tick net " << excess->end_net << ")";

@@ -7,6 +7,25 @@
 
 namespace pob {
 
+std::span<const TickPairNet::Pair> TickPairNet::tally(std::span<const Transfer> transfers) {
+  index_.begin_tick(transfers.size());
+  pairs_.clear();
+  for (const Transfer& tr : transfers) {
+    if (tr.from == kServer) continue;
+    const bool up = tr.from < tr.to;
+    const NodeId lo = up ? tr.from : tr.to;
+    const NodeId hi = up ? tr.to : tr.from;
+    const std::uint64_t k = (static_cast<std::uint64_t>(lo) << 32) | hi;
+    std::uint32_t& pos = index_.value(k);
+    if (pos == 0) {
+      pairs_.push_back({k, 0});
+      pos = static_cast<std::uint32_t>(pairs_.size());
+    }
+    pairs_[pos - 1].net += up ? 1 : -1;
+  }
+  return pairs_;
+}
+
 std::size_t CreditLedger::find(std::uint64_t k) const {
   const std::size_t mask = slots_.size() - 1;
   std::size_t i = mix64(k) & mask;
@@ -68,27 +87,13 @@ void CreditLedger::erase_at(std::size_t i) {
 }
 
 std::optional<CreditLedger::Excess> CreditLedger::first_excess(
-    std::span<const Transfer> transfers, std::uint32_t limit, TickNet& scratch) const {
-  // Net the tick per pair (+1 lo -> hi, -1 back, as in the ledger) in one
-  // pass, then settle each distinct pair once, keeping the lowest violating
-  // key: the same report a sort by key would give.
-  scratch.index.begin_tick(transfers.size());
-  scratch.pairs.clear();
-  for (const Transfer& tr : transfers) {
-    if (tr.from == kServer) continue;
-    const bool up = tr.from < tr.to;
-    const std::uint64_t k = up ? key(tr.from, tr.to) : key(tr.to, tr.from);
-    std::uint32_t& pos = scratch.index.value(k);
-    if (pos == 0) {
-      scratch.pairs.emplace_back(k, 0);
-      pos = static_cast<std::uint32_t>(scratch.pairs.size());
-    }
-    scratch.pairs[pos - 1].second += up ? 1 : -1;
-  }
+    std::span<const Transfer> transfers, std::uint32_t limit) {
+  // Settle each distinct pair of the tick once, keeping the lowest
+  // violating key: the same report a sort by key would give.
   const auto bound = static_cast<std::int64_t>(limit);
   std::optional<Excess> lowest;
   std::uint64_t lowest_key = kEmpty;
-  for (const auto& [k, tick_net] : scratch.pairs) {
+  for (const auto& [k, tick_net] : tick_net_.tally(transfers)) {
     if (k > lowest_key) continue;  // cannot be the report
     const auto lo = static_cast<NodeId>(k >> 32);
     const auto hi = static_cast<NodeId>(k & 0xffffffffULL);

@@ -1,6 +1,4 @@
-#include <algorithm>
 #include <sstream>
-#include <vector>
 
 #include "pob/mech/barter.h"
 
@@ -10,41 +8,22 @@ std::optional<std::string> StrictBarter::check_tick(Tick /*tick*/,
                                                     std::span<const Transfer> transfers,
                                                     const SwarmState& /*state*/) {
   // A client->client transfer u->v must be matched (with multiplicity) by a
-  // v->u transfer in the same tick. Represent each client transfer as a
-  // signed directed-pair record and require every (unordered pair)'s u->v
-  // and v->u counts to be equal.
-  std::vector<std::uint64_t> directed;  // (min << 33) | (max << 1) | dir
-  directed.reserve(transfers.size());
+  // v->u transfer in the same tick: every unordered pair nets to zero. The
+  // lowest unbalanced (lo, hi) pair is reported.
   for (const Transfer& tr : transfers) {
-    if (tr.from == kServer) continue;  // server gives freely
-    if (tr.to == kServer) {
+    if (tr.from != kServer && tr.to == kServer) {
       return "client " + std::to_string(tr.from) + " uploads to the server";
     }
-    const NodeId lo = std::min(tr.from, tr.to);
-    const NodeId hi = std::max(tr.from, tr.to);
-    const std::uint64_t dir = tr.from == lo ? 0 : 1;
-    directed.push_back((static_cast<std::uint64_t>(lo) << 33) |
-                       (static_cast<std::uint64_t>(hi) << 1) | dir);
   }
-  std::sort(directed.begin(), directed.end());
-  // Scan runs of the same unordered pair; dir bits must balance.
-  for (std::size_t i = 0; i < directed.size();) {
-    const std::uint64_t pair = directed[i] >> 1;
-    std::int64_t bal = 0;
-    std::size_t j = i;
-    while (j < directed.size() && (directed[j] >> 1) == pair) {
-      bal += (directed[j] & 1) ? -1 : 1;
-      ++j;
-    }
-    if (bal != 0) {
-      std::ostringstream os;
-      os << "unreciprocated exchange between clients " << (pair >> 32) << " and "
-         << (pair & 0xffffffffULL);
-      return os.str();
-    }
-    i = j;
+  std::optional<std::uint64_t> lowest;
+  for (const auto& [key, net] : tick_net_.tally(transfers)) {
+    if (net != 0 && (!lowest || key < *lowest)) lowest = key;
   }
-  return std::nullopt;
+  if (!lowest) return std::nullopt;
+  std::ostringstream os;
+  os << "unreciprocated exchange between clients " << (*lowest >> 32) << " and "
+     << (*lowest & 0xffffffffULL);
+  return os.str();
 }
 
 }  // namespace pob

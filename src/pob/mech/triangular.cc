@@ -1,5 +1,7 @@
 #include <sstream>
 #include <stdexcept>
+#include <unordered_map>
+#include <vector>
 
 #include "pob/mech/barter.h"
 
@@ -12,77 +14,58 @@ CyclicBarter::CyclicBarter(std::uint32_t max_cycle_len, std::uint32_t credit_lim
   }
 }
 
-std::optional<std::string> CyclicBarter::classify(std::span<const Transfer> transfers) {
-  cleared_.assign(transfers.size(), 0);
-  if (++stamp_ == 0) {  // stamp wrapped: stale stamps would alias
-    for (OutRange& r : out_) r.stamp = 0;
-    stamp_ = 1;
-  }
-  // Out-edge index over client->client transfers of this tick: count each
-  // sender's edges, lay the senders out in first-seen order, then fill each
-  // sender's run in stream order.
-  senders_.clear();
+std::optional<std::string> CyclicBarter::classify(std::span<const Transfer> transfers,
+                                                  std::vector<char>& cleared) const {
+  cleared.assign(transfers.size(), 0);
+  // Out-edge index over client->client transfers of this tick.
+  std::unordered_map<NodeId, std::vector<std::uint32_t>> out;
   for (std::uint32_t i = 0; i < transfers.size(); ++i) {
     const Transfer& tr = transfers[i];
     if (tr.from == kServer) {
-      cleared_[i] = 1;  // server gives freely
+      cleared[i] = 1;  // server gives freely
       continue;
     }
     if (tr.to == kServer) {
       return "client " + std::to_string(tr.from) + " uploads to the server";
     }
-    if (tr.from >= out_.size()) out_.resize(static_cast<std::size_t>(tr.from) + 1);
-    OutRange& r = out_[tr.from];
-    if (r.stamp != stamp_) {
-      r = OutRange{stamp_, 0, 0};
-      senders_.push_back(tr.from);
-    }
-    ++r.count;
+    out[tr.from].push_back(i);
   }
-  std::uint32_t edges = 0;
-  for (const NodeId u : senders_) {
-    out_[u].begin = edges;
-    edges += out_[u].count;
-    out_[u].count = 0;
-  }
-  out_edges_.resize(edges);
-  for (std::uint32_t i = 0; i < transfers.size(); ++i) {
-    if (transfers[i].from == kServer) continue;
-    OutRange& r = out_[transfers[i].from];
-    out_edges_[r.begin + r.count++] = i;
-  }
-
   // For each uncleared edge u->v, search for a directed path v ~> u of at
   // most max_cycle_len_ - 1 edges; if found, the whole cycle clears. Upload
   // capacities keep out-degrees tiny, so bounded DFS is cheap.
+  std::vector<std::uint32_t> path;
   for (std::uint32_t i = 0; i < transfers.size(); ++i) {
-    if (cleared_[i]) continue;
+    if (cleared[i]) continue;
     const Transfer& start = transfers[i];
-    path_.clear();
+    path.clear();
     // Iterative DFS with explicit stack of (node, next-edge cursor).
-    stack_.assign(1, Frame{start.to, 0});
-    while (!stack_.empty()) {
-      Frame& f = stack_.back();
+    struct Frame {
+      NodeId node;
+      std::uint32_t cursor;
+    };
+    std::vector<Frame> stack{{start.to, 0}};
+    while (!stack.empty()) {
+      Frame& f = stack.back();
       if (f.node == start.from) {
         // Found a cycle: start edge plus everything on the path.
-        cleared_[i] = 1;
-        for (const std::uint32_t e : path_) cleared_[e] = 1;
+        cleared[i] = 1;
+        for (const std::uint32_t e : path) cleared[e] = 1;
         break;
       }
-      if (stack_.size() > max_cycle_len_ - 1) {  // path length limit reached
-        stack_.pop_back();
-        if (!path_.empty()) path_.pop_back();
+      if (stack.size() > max_cycle_len_ - 1) {  // path length limit reached
+        stack.pop_back();
+        if (!path.empty()) path.pop_back();
         continue;
       }
-      const bool sends = f.node < out_.size() && out_[f.node].stamp == stamp_;
-      if (!sends || f.cursor >= out_[f.node].count) {
-        stack_.pop_back();
-        if (!path_.empty()) path_.pop_back();
+      const auto it = out.find(f.node);
+      if (it == out.end() || f.cursor >= it->second.size()) {
+        stack.pop_back();
+        if (!path.empty()) path.pop_back();
         continue;
       }
-      const std::uint32_t edge = out_edges_[out_[f.node].begin + f.cursor++];
-      path_.push_back(edge);
-      stack_.push_back({transfers[edge].to, 0});
+      const std::uint32_t edge = it->second[f.cursor++];
+      path.push_back(edge);
+      stack.push_back({transfers[edge].to, 0});
     }
   }
   return std::nullopt;
@@ -91,13 +74,14 @@ std::optional<std::string> CyclicBarter::classify(std::span<const Transfer> tran
 std::optional<std::string> CyclicBarter::check_tick(Tick /*tick*/,
                                                     std::span<const Transfer> transfers,
                                                     const SwarmState& /*state*/) {
-  if (auto err = classify(transfers)) return err;
+  std::vector<char> cleared;
+  if (auto err = classify(transfers, cleared)) return err;
   // Uncleared transfers must fit within the pairwise credit limit.
-  uncleared_.clear();
+  std::vector<Transfer> uncleared;
   for (std::uint32_t i = 0; i < transfers.size(); ++i) {
-    if (!cleared_[i]) uncleared_.push_back(transfers[i]);
+    if (!cleared[i]) uncleared.push_back(transfers[i]);
   }
-  if (const auto excess = ledger_.first_excess(uncleared_, credit_limit_, tick_net_)) {
+  if (const auto excess = ledger_.first_excess(uncleared, credit_limit_)) {
     std::ostringstream os;
     os << "credit limit " << credit_limit_ << " exceeded between clients " << excess->lo
        << " and " << excess->hi << " outside barter cycles (end-of-tick net "
@@ -109,9 +93,10 @@ std::optional<std::string> CyclicBarter::check_tick(Tick /*tick*/,
 
 void CyclicBarter::commit_tick(Tick /*tick*/, std::span<const Transfer> transfers,
                                const SwarmState& /*state*/) {
-  (void)classify(transfers);  // already validated in check_tick
+  std::vector<char> cleared;
+  (void)classify(transfers, cleared);  // already validated in check_tick
   for (std::uint32_t i = 0; i < transfers.size(); ++i) {
-    if (cleared_[i]) continue;
+    if (cleared[i]) continue;
     const Transfer& tr = transfers[i];
     ledger_.record(tr.from, tr.to);
   }
