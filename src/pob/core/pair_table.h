@@ -1,6 +1,6 @@
 // A per-tick set of 64-bit pair keys, (a << 32) | b, shared by the engines'
 // per-tick checks: the scale merge's (receiver, block) admission, the core
-// engine's duplicate-delivery check and the credit mechanisms' per-pair
+// engine's duplicate-delivery check and the barter mechanisms' per-pair
 // netting.
 
 #pragma once

@@ -1,5 +1,5 @@
 // PairTable, the per-tick pair-key set behind the scale merge's admission,
-// the core engine's duplicate-delivery check and the credit mechanisms'
+// the core engine's duplicate-delivery check and the barter mechanisms'
 // per-pair netting.
 
 #include "pob/core/pair_table.h"
