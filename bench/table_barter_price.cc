@@ -18,6 +18,7 @@
 
 #include "bench_util.h"
 #include "pob/analysis/bounds.h"
+#include "pob/exp/report.h"
 #include "pob/flow/certify.h"
 #include "pob/mech/barter.h"
 #include "pob/sched/binomial_pipeline.h"

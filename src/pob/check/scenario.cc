@@ -163,8 +163,7 @@ std::string Scenario::to_gtest(const std::string& diagnosis) const {
   if (!diagnosis.empty()) os << "  // failed with: " << diagnosis << "\n";
   os << "  using namespace pob::check;\n";
   os << "  Scenario sc;\n";
-  os << "  sc.spec = pob::scale::parse_run_spec(\"" << to_flags(spec)
-     << "\", pob::scale::RunSpec{});\n";
+  os << "  sc.spec = pob::scale::parse_run_spec(\"" << to_flags(spec) << "\");\n";
   const auto caps = [&](const char* field, const std::vector<std::uint32_t>& v) {
     if (v.empty()) return;
     os << "  sc." << field << " = {";

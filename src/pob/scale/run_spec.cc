@@ -75,23 +75,23 @@ bool overlay_bound(Algo algo) {
          algo == Algo::kTitForTat;
 }
 
-RunSpec parse_run_spec(const Args& args, const RunSpec& d) {
-  RunSpec s = d;
-  s.engine = parse_kind(args, "engine", d.engine, std::size(kEngineNames));
-  s.algo = parse_kind(args, "algo", d.algo, std::size(kAlgoNames));
-  s.overlay = parse_kind(args, "overlay", d.overlay, 5);  // the five OverlayKinds
-  s.mechanism = parse_kind(args, "mechanism", d.mechanism, std::size(kMechanismNames));
-  s.arrivals = parse_kind(args, "arrivals", d.arrivals, std::size(kArrivalsNames));
+RunSpec parse_run_spec(const Args& args) {
+  RunSpec s;
+  s.engine = parse_kind(args, "engine", s.engine, std::size(kEngineNames));
+  s.algo = parse_kind(args, "algo", s.algo, std::size(kAlgoNames));
+  s.overlay = parse_kind(args, "overlay", s.overlay, 5);  // the five OverlayKinds
+  s.mechanism = parse_kind(args, "mechanism", s.mechanism, std::size(kMechanismNames));
+  s.arrivals = parse_kind(args, "arrivals", s.arrivals, std::size(kArrivalsNames));
   if (args.has("policy")) s.policy = parse_policy(args);
-  for (const auto& [flag, field] : kScalars) s.*field = args.get_u32(flag, d.*field);
+  for (const auto& [flag, field] : kScalars) s.*field = args.get_u32(flag, s.*field);
   if (args.get_string("download", "") == "unlimited") {
     s.download = kUnlimited;
   } else {
-    s.download = args.get_u32("download", d.download);
+    s.download = args.get_u32("download", s.download);
   }
-  s.leave_pct = args.get_double("leave-pct", d.leave_pct);
-  s.deadlines = args.get_bool("deadlines", d.deadlines);
-  s.seed = args.get_u64("seed", d.seed);
+  s.leave_pct = args.get_double("leave-pct", s.leave_pct);
+  s.deadlines = args.get_bool("deadlines", s.deadlines);
+  s.seed = args.get_u64("seed", s.seed);
 
   if (s.n < 2) throw std::invalid_argument("--n must be >= 2 (server plus a client)");
   if (s.k < 1) throw std::invalid_argument("--k must be >= 1");
@@ -102,14 +102,14 @@ RunSpec parse_run_spec(const Args& args, const RunSpec& d) {
   return s;
 }
 
-RunSpec parse_run_spec(std::string_view flags, const RunSpec& defaults) {
+RunSpec parse_run_spec(std::string_view flags) {
   std::vector<std::string> tokens{"run-spec"};
   std::istringstream is{std::string(flags)};
   for (std::string t; is >> t;) tokens.push_back(std::move(t));
   std::vector<const char*> argv;
   for (const std::string& t : tokens) argv.push_back(t.c_str());
   const Args args(static_cast<int>(argv.size()), argv.data());
-  const RunSpec spec = parse_run_spec(args, defaults);
+  const RunSpec spec = parse_run_spec(args);
   args.reject_unknown();
   return spec;
 }

@@ -1,16 +1,16 @@
 // RunSpec: one run of any engine, as plain data.
 //
-// pobsim, scale_throughput and stream_throughput parse their flags into a
-// RunSpec (each with its own defaults), print it as `# spec: <to_flags>`,
-// and build config, topology, options and stream workload from it with the
+// pobsim and the fuzzer's check::Scenario describe a run as a RunSpec.
+// pobsim parses its flags into one, prints it as `# spec: <to_flags>`, and
+// builds config, topology, options and stream workload from it with the
 // builders below. parse_run_spec(to_flags(s)) == s, so a printed spec
-// reruns through any driver.
+// reruns through pobsim, and a fuzz repro names its run by the same flags.
 //
 // Seed rule: run i has seed run_seed(spec, i) = trial_seed(spec.seed, i).
 // Its overlay draws from Rng(run seed).split(0), a core randomized
 // scheduler from Rng(run seed).split(1), and the scale and stream engines
 // take the run seed as their engine seed — so one spec walks the same
-// overlay on the core and scale engines, in every driver.
+// overlay on the core and scale engines.
 
 #pragma once
 
@@ -100,42 +100,14 @@ struct RunSpec {
   bool operator==(const RunSpec&) const = default;
 };
 
-inline constexpr RunSpec kPobsimDefaults{};
-
-/// scale_throughput's E22 swarm: 10^6 nodes, 512 blocks, random 16-regular.
-inline constexpr RunSpec kScaleThroughputDefaults = [] {
-  RunSpec s;
-  s.engine = RunEngine::kScale;
-  s.overlay = OverlayKind::kRegular;
-  s.degree = 16;
-  s.n = 1000000;
-  s.k = 512;
-  return s;
-}();
-
-/// stream_throughput's E25 flash crowd: the E22 swarm at k = 256, server
-/// upload 8, 90% of clients inside a 16-tick spike; the Poisson gap (~16
-/// arrivals per tick) and burst cohort (n / 64 + 1) suit n = 10^6.
-inline constexpr RunSpec kStreamThroughputDefaults = [] {
-  RunSpec s = kScaleThroughputDefaults;
-  s.engine = RunEngine::kStream;
-  s.k = 256;
-  s.servers = 8;
-  s.arrivals = stream::ArrivalPattern::kFlashCrowd;
-  s.gap16 = 2;
-  s.flash_width = 16;
-  s.burst_size = 15626;
-  return s;
-}();
-
-/// The only run-flag parser: each field from its flag, else `defaults`.
-/// Throws std::invalid_argument on an unknown value, an integer out of
-/// range, n < 2, k < 1 or runs < 1 — before anything is allocated.
-RunSpec parse_run_spec(const Args& args, const RunSpec& defaults);
+/// The only run-flag parser: each field from its flag, else RunSpec's
+/// default. Throws std::invalid_argument on an unknown value, an integer out
+/// of range, n < 2, k < 1 or runs < 1 — before anything is allocated.
+RunSpec parse_run_spec(const Args& args);
 
 /// The same for a space-separated flag string such as to_flags prints; an
 /// unknown flag throws too.
-RunSpec parse_run_spec(std::string_view flags, const RunSpec& defaults);
+RunSpec parse_run_spec(std::string_view flags);
 
 /// Every field as an explicit flag.
 std::string to_flags(const RunSpec& spec);

@@ -87,7 +87,7 @@ TEST(Minimize, ShrinksAFaultyScenarioToAFewNodes) {
   ASSERT_NE(from, std::string::npos);
   const std::size_t begin = from + open.size();
   const std::string flags = test_case.substr(begin, test_case.find('"', begin) - begin);
-  EXPECT_EQ(scale::parse_run_spec(flags, scale::RunSpec{}), min.scenario.spec);
+  EXPECT_EQ(scale::parse_run_spec(flags), min.scenario.spec);
 }
 
 }  // namespace

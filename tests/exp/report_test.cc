@@ -1,10 +1,10 @@
-// The bench helpers carry real reporting semantics — most importantly which
-// sweep point a speedup column normalizes against. scale_throughput's
+// The report helpers carry real reporting semantics — most importantly
+// which sweep point a speedup column normalizes against. pobsim's
 // speedup_j<jobs> fields claim "vs the serial run"; jobs_from_flag can clamp
 // or dedupe jobs=1 out of the effective list, and the baseline choice must
 // degrade to the first point that actually ran, never to a fabricated one.
 
-#include "bench_util.h"
+#include "pob/exp/report.h"
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,9 @@
 #include <fstream>
 #include <sstream>
 
-namespace pob::bench {
+#include "pob/exp/parallel.h"
+
+namespace pob {
 namespace {
 
 TEST(BenchUtil, SweepBaselinePrefersTheSerialPoint) {
@@ -51,7 +53,7 @@ TEST(BenchUtil, SweepJobsDedupesAfterClampingAndFallsBackToJobs) {
 TEST(BenchUtil, JsonReportEmitsTheCertifiedPairUnderStableKeys) {
   // CI greps `certified_price` out of the archived BENCH_*.json files, so the
   // helper's key names are a contract, not a convenience.
-  const std::string path = ::testing::TempDir() + "pob_bench_util_certified.json";
+  const std::string path = ::testing::TempDir() + "pob_report_certified.json";
   const char* argv[] = {"bench", "--json", path.c_str()};
   const Args args(3, argv);
   JsonReport json;
@@ -67,4 +69,4 @@ TEST(BenchUtil, JsonReportEmitsTheCertifiedPairUnderStableKeys) {
 }
 
 }  // namespace
-}  // namespace pob::bench
+}  // namespace pob

@@ -1,9 +1,7 @@
-// RunSpec: the one flag parser, printer and builder set behind pobsim,
-// scale_throughput, stream_throughput and the fuzzer. parse(to_flags(s)) ==
-// s over the whole enum grid, the core and scale builders walk identical
-// neighbour lists, each driver's defaults are pinned, the same swarm named
-// through pobsim's and scale_throughput's defaults gives one digest, and the
-// prechecked core schedules run the spec's mechanism.
+// RunSpec: the one flag parser, printer and builder set behind pobsim and
+// the fuzzer. parse(to_flags(s)) == s over the whole enum grid, the core and
+// scale builders walk identical neighbour lists, the defaults are pinned,
+// and the prechecked core schedules run the spec's mechanism.
 
 #include "pob/scale/run_spec.h"
 
@@ -21,7 +19,7 @@ namespace {
 
 /// The core engine's run 0 of `flags`, as pobsim runs it.
 std::uint64_t core_digest(const std::string& flags) {
-  const RunSpec s = parse_run_spec(flags, kPobsimDefaults);
+  const RunSpec s = parse_run_spec(flags);
   const EngineConfig cfg = build_config(s);
   const BuiltScheduler b = build_scheduler(s, cfg, run_seed(s, 0));
   return check::run_result_digest(run(cfg, *b.scheduler, b.mechanism.get()));
@@ -29,7 +27,7 @@ std::uint64_t core_digest(const std::string& flags) {
 
 std::string parse_error(const std::string& flags) {
   try {
-    parse_run_spec(flags, kPobsimDefaults);
+    parse_run_spec(flags);
   } catch (const std::invalid_argument& e) {
     return e.what();
   }
@@ -56,9 +54,7 @@ TEST(RunSpec, ParseOfToFlagsRoundTripsOverTheEnumGrid) {
             s.policy = i % 2 == 0 ? BlockPolicy::kRandom : BlockPolicy::kRarestFirst;
             s.seed = i % 4 == 0 ? ~std::uint64_t{0} : trial_seed(i, 0);
             s.n = 2 + i;
-            ASSERT_EQ(parse_run_spec(to_flags(s), RunSpec{}), s) << to_flags(s);
-            // Defaults do not leak into an explicit spec.
-            ASSERT_EQ(parse_run_spec(to_flags(s), kStreamThroughputDefaults), s);
+            ASSERT_EQ(parse_run_spec(to_flags(s)), s) << to_flags(s);
           }
         }
       }
@@ -94,7 +90,7 @@ TEST(RunSpec, CoreOverlayAndScaleTopologyWalkIdenticalNeighbourLists) {
 }
 
 TEST(RunSpec, EachDriversDefaultSpecIsPinned) {
-  EXPECT_EQ(to_flags(kPobsimDefaults),
+  EXPECT_EQ(to_flags(RunSpec{}),
             "--engine=core --algo=randomized --overlay=complete --mechanism=none "
             "--arrivals=batch --policy=random --degree=20 --arity=2 --credit=1 "
             "--cycle-len=4 --n=64 --k=32 --upload=1 --servers=0 --cap=0 --stall-window=0 "
@@ -102,47 +98,8 @@ TEST(RunSpec, EachDriversDefaultSpecIsPinned) {
             "--flash-width=4 --flash-pct=90 --burst-size=64 --burst-period=4 --classes=0 "
             "--churn=0 --horizon=64 --window=0 --startup=4 --interval=1 --slack=2 "
             "--runs=1 --download=unlimited --leave-pct=0 --deadlines=false --seed=1");
-  EXPECT_EQ(to_flags(kScaleThroughputDefaults),
-            "--engine=scale --algo=randomized --overlay=regular --mechanism=none "
-            "--arrivals=batch --policy=random --degree=16 --arity=2 --credit=1 "
-            "--cycle-len=4 --n=1000000 --k=512 --upload=1 --servers=0 --cap=0 "
-            "--stall-window=0 --stripes=4 --period=16 --probes=16 --gap16=16 "
-            "--flash-start=8 --flash-width=4 --flash-pct=90 --burst-size=64 "
-            "--burst-period=4 --classes=0 --churn=0 --horizon=64 --window=0 --startup=4 "
-            "--interval=1 --slack=2 --runs=1 --download=unlimited --leave-pct=0 "
-            "--deadlines=false --seed=1");
-  EXPECT_EQ(to_flags(kStreamThroughputDefaults),
-            "--engine=stream --algo=randomized --overlay=regular --mechanism=none "
-            "--arrivals=flash --policy=random --degree=16 --arity=2 --credit=1 "
-            "--cycle-len=4 --n=1000000 --k=256 --upload=1 --servers=8 --cap=0 "
-            "--stall-window=0 --stripes=4 --period=16 --probes=16 --gap16=2 "
-            "--flash-start=8 --flash-width=16 --flash-pct=90 --burst-size=15626 "
-            "--burst-period=4 --classes=0 --churn=0 --horizon=64 --window=0 --startup=4 "
-            "--interval=1 --slack=2 --runs=1 --download=unlimited --leave-pct=0 "
-            "--deadlines=false --seed=1");
   // No flags at all parse to the defaults.
-  EXPECT_EQ(parse_run_spec("", kScaleThroughputDefaults), kScaleThroughputDefaults);
-}
-
-TEST(RunSpec, PobsimAndScaleThroughputBuildOneSwarmForOneSpec) {
-  // The 4096 x 32 random 16-regular swarm, named through each driver's
-  // defaults, is one swarm under the shared seed rule.
-  const RunSpec via_pobsim = parse_run_spec(
-      "--engine=scale --algo=randomized --overlay=regular --degree=16 --n=4096 --k=32 "
-      "--seed=1",
-      kPobsimDefaults);
-  const RunSpec via_bench =
-      parse_run_spec("--n=4096 --k=32 --degree=16 --seed=1", kScaleThroughputDefaults);
-  const auto digest = [](const RunSpec& s) {
-    const std::uint64_t seed = run_seed(s, 0);
-    Engine engine(build_config(s), build_topology(s, seed), build_scale_options(s), seed);
-    const RunResult r = engine.run(1);
-    EXPECT_TRUE(r.completed);
-    EXPECT_EQ(r.completion_tick, 61u);
-    return check::run_result_digest(r);
-  };
-  EXPECT_EQ(digest(via_pobsim), 0x44fd6612e8866639ULL);
-  EXPECT_EQ(digest(via_bench), 0x44fd6612e8866639ULL);
+  EXPECT_EQ(parse_run_spec(""), RunSpec{});
 }
 
 TEST(RunSpec, RejectsOutOfRangeIntegersByName) {
@@ -155,8 +112,8 @@ TEST(RunSpec, RejectsOutOfRangeIntegersByName) {
   EXPECT_NE(parse_error("--k=0").find("--k"), std::string::npos);
   EXPECT_NE(parse_error("--runs=0").find("--runs"), std::string::npos);
   EXPECT_NE(parse_error("--leave-pct=101").find("--leave-pct"), std::string::npos);
-  EXPECT_EQ(parse_run_spec("--degree=4294967295", kPobsimDefaults).degree, 4294967295u);
-  EXPECT_EQ(parse_run_spec("--seed=18446744073709551615", kPobsimDefaults).seed,
+  EXPECT_EQ(parse_run_spec("--degree=4294967295").degree, 4294967295u);
+  EXPECT_EQ(parse_run_spec("--seed=18446744073709551615").seed,
             ~std::uint64_t{0});
 }
 

@@ -10,12 +10,20 @@
 //   pobsim --engine=scale --n=1000000 --k=512 --overlay=regular --degree=16
 //   pobsim --engine=stream --n=200000 --k=64 --overlay=regular --arrivals=flash
 //          --deadlines
+//   pobsim --engine=scale --n=200000 --k=128 --overlay=regular --degree=16
+//          --sweep=1,2,4,8 --json=BENCH_scale.json   # E22/E23 throughput
 //
 // Every run prints `# spec: <flags>` first — its full RunSpec
 // (src/pob/scale/run_spec.h), every field explicit — and run 0's
-// `# digest` after the table. Passing that spec back to pobsim (or, for
-// --engine=scale|stream, to scale_throughput / stream_throughput) reruns
-// the same swarm to the same digest. A flag that no parser reads exits 2.
+// `# digest` after the table. Passing that spec back to pobsim reruns the
+// same swarm to the same digest. A flag that no parser reads exits 2.
+//
+// On the scale and stream engines run 0 is a jobs sweep
+// (pob/check/jobs_sweep.h): one topology, one fresh engine per job count,
+// a `# jobs J:` line per point (build and run time, node-ticks/s,
+// transfers/s, speedup, scale phase times, ledger pairs). A plain run is a
+// one-point sweep at --jobs. Every point must give one digest and one
+// credit-ledger size, or pobsim exits 1. An incomplete run still exits 0.
 //
 // Run flags (pobsim's defaults in brackets):
 //   --engine     core | scale | stream [core]. core validates every tick and
@@ -50,19 +58,29 @@
 // Driver flags: --jobs (0 = all cores), --certify (the pob/flow lower bound
 // T* of run 0's exact scenario and the certified price T/T*), --fairness,
 // --save-trace=<file> (run 0), --replay=<file> (validate a saved trace under
-// --mechanism), --trace (print run 0's transfers), --csv.
+// --mechanism), --trace (print run 0's transfers), --csv. Scale and stream
+// only, with --runs=1 for a sweep: --sweep=<jobs,...> (run 0 once per job
+// count instead of once at --jobs) and --json=<path> (run 0's report under
+// the field names of BENCH_scale.json / BENCH_stream.json, with *_j<jobs>
+// groups per sweep point; a scale report carries the certificate, so it
+// implies --certify). Either flag on the core engine exits 2.
 
 #include <chrono>
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
+#include <stdexcept>
+#include <vector>
 
 #include "pob/analysis/bounds.h"
+#include "pob/check/jobs_sweep.h"
 #include "pob/check/oracle.h"
 #include "pob/core/engine.h"
 #include "pob/core/metrics.h"
 #include "pob/exp/cli.h"
 #include "pob/exp/parallel.h"
+#include "pob/exp/report.h"
 #include "pob/exp/sweep.h"
 #include "pob/exp/table.h"
 #include "pob/exp/trace_io.h"
@@ -80,8 +98,10 @@ using scale::RunSpec;
 /// exact scenario just simulated. T* is sound for every legal schedule of
 /// the scenario, so simulated-T / T* is a certified price — 1.00 means the
 /// run is provably optimal on its topology.
-void print_certificate(const EngineConfig& cfg, const scale::Topology& topo,
-                       flow::BarterModel model, bool completed, Tick simulated) {
+flow::CompletionCertificate print_certificate(const EngineConfig& cfg,
+                                              const scale::Topology& topo,
+                                              flow::BarterModel model, bool completed,
+                                              Tick simulated) {
   const flow::CompletionCertificate cert =
       flow::certify_completion_bound(cfg, topo, model);
   std::cout << "# certificate: T*=" << cert.lower_bound << " simulated-T=";
@@ -99,21 +119,131 @@ void print_certificate(const EngineConfig& cfg, const scale::Topology& topo,
               << cert.strict_ramp_bound;
   }
   std::cout << "; demand " << cert.demand_clients << ")\n";
+  return cert;
+}
+
+/// One `# jobs J:` line per sweep point of run 0; speedups are against
+/// `baseline`.
+void print_points(const std::vector<check::SweepPoint>& points,
+                  const check::SweepPoint& baseline, bool phases) {
+  for (const check::SweepPoint& p : points) {
+    std::cout << "# jobs " << p.jobs << ": build " << fmt(p.build_seconds, 3)
+              << " s, run " << fmt(p.run_seconds, 3) << " s, "
+              << fmt(p.node_ticks_per_sec / 1e6, 2) << "M node-ticks/s, "
+              << fmt(p.transfers_per_sec / 1e6, 2) << "M transfers/s, speedup "
+              << fmt(check::speedup(baseline, p), 2) << "x";
+    if (phases) {
+      std::cout << ", generate " << fmt(p.phases.generate_seconds, 3) << " / merge "
+                << fmt(p.phases.merge_seconds, 3) << " / apply "
+                << fmt(p.phases.apply_seconds, 3) << " s";
+    }
+    std::cout << ", " << p.ledger_pairs << " ledger pairs\n";
+  }
+}
+
+/// The --json report of a scale or stream run: run 0's headline numbers
+/// under the field names of the archived BENCH_scale.json and
+/// BENCH_stream.json, then one *_j<jobs> group per sweep point. A scale
+/// report carries `cert`'s certified pair.
+bool write_json(const Args& args, const RunSpec& spec, const check::JobsSweep& run0,
+                const check::SweepPoint& baseline,
+                const std::optional<flow::CompletionCertificate>& cert) {
+  const bool on_scale = spec.engine == RunEngine::kScale;
+  const check::SweepPoint& head = run0.points.front();
+  const RunResult& r = head.result;
+  JsonReport json;
+  json.str("bench", "pobsim")
+      .str("spec", to_flags(spec))
+      .count("n", spec.n)
+      .count("k", spec.k)
+      .count("degree", spec.degree)
+      .count("jobs", head.jobs);
+  if (on_scale) {
+    // E24's price of barter: completion against the Theorem 1 cooperative
+    // optimum, reported for every scheduler so the rows line up.
+    const scale::ScaleOptions opt = scale::build_scale_options(spec);
+    const Tick coop_bound = cooperative_lower_bound(spec.n, spec.k);
+    json.str("scheduler", scale::sched_kind_name(opt.scheduler))
+        .count("coop_lower_bound", coop_bound)
+        .count("strict_barter_bound", strict_barter_lower_bound_equal_bw(spec.n, spec.k))
+        .num("price_of_barter", r.completed ? static_cast<double>(r.completion_tick) /
+                                                  static_cast<double>(coop_bound)
+                                            : 0.0)
+        .certified(cert->lower_bound,
+                   r.completed ? flow::certified_price(r.completion_tick, cert->lower_bound)
+                               : 0.0)
+        .count("credit_limit", opt.credit_limit);
+  } else {
+    json.str("workload", scale::to_string(spec.arrivals))
+        .count("rate_classes", spec.classes)
+        .count("rate_changes", spec.churn)
+        .count("window", spec.window)
+        .count("startup_blocks", spec.startup)
+        .flag("deadlines", spec.deadlines);
+  }
+  json.str("policy", spec.policy == BlockPolicy::kRandom ? "random" : "rarest")
+      .flag("completed", r.completed)
+      .count("ticks_executed", r.ticks_executed)
+      .count("completion_tick", r.completion_tick)
+      .count("total_transfers", r.total_transfers);
+  if (on_scale) json.count("node_ticks", std::uint64_t{spec.n} * r.ticks_executed);
+  json.num("run_seconds", head.run_seconds).num("topology_seconds", run0.topology_seconds);
+  if (on_scale) json.num("engine_build_seconds", head.build_seconds);
+  json.num("node_ticks_per_sec", head.node_ticks_per_sec);
+  if (on_scale) {
+    json.num("transfers_per_sec", head.transfers_per_sec)
+        .num("phase_generate_seconds", head.phases.generate_seconds)
+        .num("phase_merge_seconds", head.phases.merge_seconds)
+        .num("phase_apply_seconds", head.phases.apply_seconds);
+  }
+  json.count("state_bytes", head.state_bytes);
+  if (on_scale) {
+    json.count("state_bytes_end", head.state_bytes_end)
+        .count("ledger_pairs", head.ledger_pairs);
+  }
+  json.count("peak_rss_kb", peak_rss_kb());
+  if (!on_scale) {
+    const scale::stream::StartupStats lat = scale::stream::startup_stats(r);
+    json.count("started_clients", lat.started)
+        .count("never_started", r.never_started)
+        .num("startup_latency_mean", lat.mean)
+        .num("startup_latency_p50", lat.p50)
+        .num("startup_latency_p95", lat.p95)
+        .num("startup_latency_max", lat.max)
+        .count("rebuffer_ticks_total", r.total_rebuffer_ticks())
+        .count("rebuffered_clients", r.rebuffered_clients)
+        .count("deadline_misses", r.deadline_misses)
+        .count("deadline_checks", r.deadline_checks)
+        .num("deadline_miss_fraction", r.deadline_miss_fraction());
+  }
+  json.count("digest", head.digest);
+  add_host_fields(json);
+  check::add_sweep_fields(json, run0.points, baseline, on_scale);
+  return json.write(args);
 }
 
 int main_impl(int argc, char** argv) {
   const Args args(argc, argv);
-  const RunSpec spec = scale::parse_run_spec(args, scale::kPobsimDefaults);
+  const RunSpec spec = scale::parse_run_spec(args);
   const unsigned jobs = jobs_from_flag(args.get_int("jobs", 0));
+  const std::vector<unsigned> sweep = sweep_jobs(args);
+  const bool json = args.has("json");
+  // A scale report carries the certificate, so --json implies --certify.
+  const bool certify = args.has("certify") || (json && spec.engine == RunEngine::kScale);
   const bool csv = args.has("csv");
   const bool print_trace = args.has("trace");
   const bool fairness = args.has("fairness");
-  const bool certify = args.has("certify");
   const bool save_trace = args.has("save-trace");
   const std::string trace_path = args.get_string("save-trace", "");
   const bool replay = args.has("replay");
   const std::string replay_path = args.get_string("replay", "");
   args.reject_unknown();
+  if (spec.engine == RunEngine::kCore && (args.has("sweep") || json)) {
+    throw std::invalid_argument("--sweep and --json run --engine=scale|stream");
+  }
+  if (args.has("sweep") && spec.runs > 1) {
+    throw std::invalid_argument("--sweep reruns run 0 only; drop --runs");
+  }
 
   if (replay) {
     std::ifstream in(replay_path);
@@ -132,49 +262,43 @@ int main_impl(int argc, char** argv) {
   EngineConfig cfg = scale::build_config(spec);
   cfg.record_trace = print_trace || save_trace;
 
-  // Core trials run in parallel, one per worker; the scale and stream
-  // engines run their trials serially and parallelize each tick instead.
-  RunResult first;
-  TraceEvents first_events;
-  std::uint64_t state_bytes = 0;      // run 0's engine state before its run
-  std::uint64_t state_bytes_end = 0;  // and after it (tick scratch, ledger)
+  // Core trials run in parallel, one per worker. The scale and stream
+  // engines run their trials serially and parallelize each tick instead:
+  // run 0 once per --sweep job count, every later run at --jobs.
+  RunResult core_first;
+  check::JobsSweep run0;
   const auto sweep_start = std::chrono::steady_clock::now();
   const unsigned trial_jobs = spec.engine == RunEngine::kCore ? jobs : 1;
   const TrialStats stats = repeat_trials_parallel(spec.runs, trial_jobs, [&](std::uint32_t i) {
-    const std::uint64_t seed = scale::run_seed(spec, i);
-    RunResult r;
+    RunResult core;
+    check::JobsSweep swept;
     if (spec.engine == RunEngine::kCore) {
-      const scale::BuiltScheduler core = scale::build_scheduler(spec, cfg, seed);
-      r = run(cfg, *core.scheduler, core.mechanism.get());
-    } else if (spec.engine == RunEngine::kScale) {
-      scale::Engine engine(cfg, scale::build_topology(spec, seed),
-                           scale::build_scale_options(spec), seed);
-      if (i == 0) state_bytes = engine.state_bytes();
-      r = engine.run(jobs);
-      if (i == 0) state_bytes_end = engine.state_bytes();
+      const scale::BuiltScheduler built =
+          scale::build_scheduler(spec, cfg, scale::run_seed(spec, i));
+      core = run(cfg, *built.scheduler, built.mechanism.get());
     } else {
-      scale::stream::StreamSpec stream = scale::build_stream_spec(spec, seed);
-      stream.config.record_trace = cfg.record_trace;
-      scale::stream::StreamEngine engine(std::move(stream));
-      if (i == 0) state_bytes = engine.state_bytes();
-      r = engine.run(jobs);
-      if (i == 0) {
-        state_bytes_end = engine.state_bytes();
-        first_events = engine.trace_events();
-      }
+      swept = check::run_sweep(spec, i, i == 0 ? sweep : std::vector<unsigned>{jobs},
+                               cfg.record_trace);
     }
+    const RunResult& r = swept.points.empty() ? core : swept.points.front().result;
     TrialOutcome out;
     out.completed = r.completed;
     if (r.completed) {
       out.completion = static_cast<double>(r.completion_tick);
       out.mean_completion = r.mean_client_completion();
     }
-    if (i == 0) first = std::move(r);
+    if (i == 0) {
+      core_first = std::move(core);
+      run0 = std::move(swept);
+    }
     return out;
   });
   const double sweep_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - sweep_start)
           .count();
+  const RunResult& first = run0.points.empty() ? core_first : run0.points.front().result;
+  const check::SweepPoint* baseline =
+      run0.points.empty() ? nullptr : &run0.points[sweep_baseline_index(sweep)];
 
   const std::string label =
       spec.engine == RunEngine::kCore
@@ -193,15 +317,23 @@ int main_impl(int argc, char** argv) {
   } else {
     table.print(std::cout);
   }
+  const std::string jobs_label = run0.points.empty()
+                                     ? std::to_string(jobs == 0 ? default_jobs() : jobs)
+                                     : check::jobs_list(run0.points);
   std::cout << "# sweep: " << spec.runs << " trials in " << fmt(sweep_seconds, 2)
             << " s (" << fmt(sweep_seconds > 0.0 ? spec.runs / sweep_seconds : 0.0, 1)
-            << " trials/s, jobs=" << (jobs == 0 ? default_jobs() : jobs) << ")";
-  if (spec.engine != RunEngine::kCore) {
-    std::cout << ", state " << state_bytes / (1024 * 1024) << " MiB ("
-              << state_bytes_end / (1024 * 1024) << " MiB after the run)";
+            << " trials/s, jobs=" << jobs_label << ")";
+  bool agree = true;
+  if (baseline == nullptr) {
+    std::cout << "\n# digest " << std::hex << check::run_result_digest(first) << std::dec
+              << "\n";
+  } else {
+    const check::SweepPoint& head = run0.points.front();
+    std::cout << ", state " << head.state_bytes / (1024 * 1024) << " MiB ("
+              << head.state_bytes_end / (1024 * 1024) << " MiB after the run)\n";
+    print_points(run0.points, *baseline, spec.engine == RunEngine::kScale);
+    agree = check::print_digests(run0.points);
   }
-  std::cout << "\n# digest " << std::hex << check::run_result_digest(first) << std::dec
-            << "\n";
 
   if (spec.engine == RunEngine::kStream) {
     std::cout << "# " << scale::stream::describe_viewer_metrics(first) << "\n";
@@ -214,7 +346,7 @@ int main_impl(int argc, char** argv) {
   if (save_trace) {
     std::ofstream out(trace_path);
     if (!out) throw std::invalid_argument("cannot open trace output file");
-    write_trace(out, cfg, first, first_events);
+    write_trace(out, cfg, first, run0.points.empty() ? TraceEvents{} : run0.points.front().events);
   }
   if (print_trace) {
     for (Tick t = 1; t <= first.trace.size(); ++t) {
@@ -225,6 +357,7 @@ int main_impl(int argc, char** argv) {
       std::cout << "\n";
     }
   }
+  std::optional<flow::CompletionCertificate> cert;
   if (certify) {
     if (spec.engine == RunEngine::kStream && spec.classes != 0) {
       // Rate classes raise per-node capacities above the config scalars the
@@ -238,9 +371,16 @@ int main_impl(int argc, char** argv) {
           spec.algo == Algo::kRiffle || spec.mechanism == scale::MechanismKind::kStrict
               ? flow::BarterModel::kStrictBarter
               : flow::BarterModel::kCooperative;
-      print_certificate(cfg, *scale::build_topology(spec, scale::run_seed(spec, 0)), model,
-                        first.completed, first.completion_tick);
+      const std::shared_ptr<const scale::Topology> topo =
+          run0.topology ? run0.topology
+                        : scale::build_topology(spec, scale::run_seed(spec, 0));
+      cert = print_certificate(cfg, *topo, model, first.completed, first.completion_tick);
     }
+  }
+  if (json && !write_json(args, spec, run0, *baseline, cert)) return 1;
+  if (!agree) {
+    std::cerr << "pobsim: run 0's digest or ledger size differs across job counts\n";
+    return 1;
   }
   return 0;
 }
